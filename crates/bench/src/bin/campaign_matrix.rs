@@ -22,10 +22,10 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use certa_bench::{harness_json, parse_cli, write_bench_json, AsTarget};
-use certa_core::analyze;
+use certa_bench::{golden_session, harness_json, parse_cli, write_bench_json};
+use certa_core::{analyze, TagMap};
 use certa_fault::{
-    run_campaign, CampaignConfig, FaultTarget, HarnessStats, Protection, ToleranceProfile,
+    CampaignConfig, FaultTarget, GoldenSession, HarnessStats, Protection, ToleranceProfile,
 };
 use certa_fidelity::verdict::VerdictCounts;
 use certa_workloads::{all_workloads, Workload};
@@ -35,14 +35,16 @@ use certa_workloads::{all_workloads, Workload};
 /// the figure reproductions, not here).
 const ERRORS: u64 = 2;
 
+/// One cell of the matrix, run on the workload's shared golden session.
 fn run_cell(
+    golden: &GoldenSession<'_>,
     workload: &dyn Workload,
+    tags: &TagMap,
     target: FaultTarget,
     regime: Protection,
     trials: usize,
     seed: u64,
 ) -> (ToleranceProfile, HarnessStats) {
-    let tags = analyze(workload.program());
     let config = CampaignConfig {
         trials,
         errors: ERRORS,
@@ -51,7 +53,9 @@ fn run_cell(
         seed,
         ..CampaignConfig::default()
     };
-    let result = run_campaign(workload.as_target(), &tags, &config);
+    let session = golden.campaign(tags, &config);
+    let records = session.run_all();
+    let result = session.finish(records);
     let mut counts = VerdictCounts::default();
     for record in &result.trials {
         counts.record(&workload.classify_trial(&record.status, &result.golden.output));
@@ -76,14 +80,24 @@ fn main() -> ExitCode {
     let mut rows: Vec<ToleranceProfile> = Vec::new();
     let mut harness = HarnessStats::default();
     for w in all_workloads() {
+        // One golden run per workload serves all of its cells.
+        let tags = analyze(w.program());
+        let golden = golden_session(&*w);
         for regime in Protection::all() {
             eprintln!(
                 "campaign_matrix: {} registers/{} ({trials} trials)",
                 w.name(),
                 regime.label()
             );
-            let (row, cell_harness) =
-                run_cell(&*w, FaultTarget::Registers, regime, trials, seed);
+            let (row, cell_harness) = run_cell(
+                &golden,
+                &*w,
+                &tags,
+                FaultTarget::Registers,
+                regime,
+                trials,
+                seed,
+            );
             rows.push(row);
             harness.merge(&cell_harness);
         }
@@ -91,7 +105,9 @@ fn main() -> ExitCode {
         // instruction tag — one regime-independent row per workload.
         eprintln!("campaign_matrix: {} memory_cells ({trials} trials)", w.name());
         let (row, cell_harness) = run_cell(
+            &golden,
             &*w,
+            &tags,
             FaultTarget::MemoryCells,
             Protection::None,
             trials,

@@ -38,7 +38,7 @@ pub mod aot_workloads {
 use std::fmt::Write as _;
 
 use certa_core::{analyze, analyze_with, AnalysisOptions, TagMap};
-use certa_fault::{run_campaign, CampaignConfig, Protection};
+use certa_fault::{golden_run, CampaignConfig, GoldenSession, Protection};
 use certa_workloads::{all_workloads, FidelityDetail, Workload};
 
 /// One measured point of a campaign sweep.
@@ -83,9 +83,19 @@ fn detail_scalar(d: &FidelityDetail) -> f64 {
     }
 }
 
-/// Runs one campaign point and aggregates workload fidelity over it.
+/// The golden session every campaign point of `workload` shares: built
+/// with the default checkpoint layout, which is what [`measure_point`]'s
+/// configurations ask for.
+#[must_use]
+pub fn golden_session(workload: &dyn Workload) -> GoldenSession<'_> {
+    GoldenSession::new(workload.as_target(), &CampaignConfig::default(), None)
+}
+
+/// Runs one campaign point on `golden` (see [`golden_session`]) and
+/// aggregates workload fidelity over it.
 #[must_use]
 pub fn measure_point(
+    golden: &GoldenSession<'_>,
     workload: &dyn Workload,
     tags: &TagMap,
     protection: Protection,
@@ -100,7 +110,9 @@ pub fn measure_point(
         seed,
         ..CampaignConfig::default()
     };
-    let result = run_campaign(workload.as_target(), tags, &config);
+    let session = golden.campaign(tags, &config);
+    let records = session.run_all();
+    let result = session.finish(records);
     let mut scores = Vec::new();
     let mut details = Vec::new();
     let mut acceptable = 0usize;
@@ -198,28 +210,24 @@ pub fn table2_error_levels(app: &str) -> Vec<u64> {
 }
 
 /// Regenerates Table 2: % catastrophic failures with and without control
-/// protection, at the paper's per-application error counts.
+/// protection, at the paper's per-application error counts. Every point
+/// of a workload runs on one golden session.
 #[must_use]
 pub fn table2(trials: usize, seed: u64) -> Vec<Table2Row> {
     let mut rows = Vec::new();
     for w in all_workloads() {
         let tags = analyze(w.program());
+        let golden = golden_session(&*w);
         for errors in table2_error_levels(w.name()) {
-            let with = measure_point(&*w, &tags, Protection::ControlOnly, errors, trials, seed);
-            let without = measure_point(&*w, &tags, Protection::None, errors, trials, seed ^ 1);
-            let golden = certa_fault::run_campaign(
-                w.as_target(),
-                &tags,
-                &CampaignConfig {
-                    trials: 0,
-                    ..CampaignConfig::default()
-                },
-            )
-            .golden;
+            let point = |protection, seed| {
+                measure_point(&golden, &*w, &tags, protection, errors, trials, seed)
+            };
+            let with = point(Protection::ControlOnly, seed);
+            let without = point(Protection::None, seed ^ 1);
             rows.push(Table2Row {
                 app: w.name(),
                 errors,
-                instructions: golden.instructions,
+                instructions: golden.instructions(),
                 with_protection_pct: with.failure_pct,
                 without_protection_pct: without.failure_pct,
             });
@@ -275,15 +283,7 @@ pub fn table3() -> Vec<Table3Row> {
     let mut rows = Vec::new();
     for w in all_workloads() {
         let tags = analyze(w.program());
-        let golden = certa_fault::run_campaign(
-            w.as_target(),
-            &tags,
-            &CampaignConfig {
-                trials: 0,
-                ..CampaignConfig::default()
-            },
-        )
-        .golden;
+        let golden = golden_run(w.as_target(), &tags, Protection::ControlOnly, u64::MAX / 2);
         rows.push(Table3Row {
             app: w.name(),
             instructions: golden.instructions,
@@ -446,13 +446,17 @@ pub fn figure(spec: &FigureSpec, trials: usize, seed: u64) -> Vec<FigurePoint> {
         .find(|w| w.name() == spec.app)
         .expect("figure spec names a known workload");
     let tags = analyze(w.program());
+    let golden = golden_session(&**w);
+    let point = |protection, errors, seed| {
+        measure_point(&golden, &**w, &tags, protection, errors, trials, seed)
+    };
     spec.errors
         .iter()
         .map(|&errors| {
-            let protected = measure_point(&**w, &tags, Protection::ControlOnly, errors, trials, seed);
-            let unprotected = spec.include_unprotected.then(|| {
-                measure_point(&**w, &tags, Protection::None, errors, trials, seed ^ 0xF)
-            });
+            let protected = point(Protection::ControlOnly, errors, seed);
+            let unprotected = spec
+                .include_unprotected
+                .then(|| point(Protection::None, errors, seed ^ 0xF));
             FigurePoint {
                 protected,
                 unprotected,
@@ -547,27 +551,29 @@ pub fn ablation_variants() -> Vec<(&'static str, AnalysisOptions)> {
 }
 
 /// Runs the ablation over every workload: how each analysis design choice
-/// moves the taggable fraction and the protected failure rate.
+/// moves the taggable fraction and the protected failure rate. Every
+/// variant of a workload runs on one golden session (the golden run does
+/// not depend on the tag map).
 #[must_use]
 pub fn ablation(trials: usize, errors: u64, seed: u64) -> Vec<AblationRow> {
     let mut rows = Vec::new();
     for w in all_workloads() {
+        let golden = golden_session(&*w);
         for (variant, opts) in ablation_variants() {
             let tags = analyze_with(w.program(), &opts);
-            let point = measure_point(&*w, &tags, Protection::ControlOnly, errors, trials, seed);
-            let golden = certa_fault::run_campaign(
-                w.as_target(),
+            let point = measure_point(
+                &golden,
+                &*w,
                 &tags,
-                &CampaignConfig {
-                    trials: 0,
-                    ..CampaignConfig::default()
-                },
-            )
-            .golden;
+                Protection::ControlOnly,
+                errors,
+                trials,
+                seed,
+            );
             rows.push(AblationRow {
                 app: w.name(),
                 variant,
-                low_reliability_pct: tags.dynamic_low_reliability_fraction(&golden.exec_counts)
+                low_reliability_pct: tags.dynamic_low_reliability_fraction(golden.exec_counts())
                     * 100.0,
                 failure_pct: point.failure_pct,
             });
@@ -782,27 +788,44 @@ pub fn json_workload_names(json: &str) -> Vec<String> {
 }
 
 /// Parses the `--trials N` / `--seed N` CLI convention used by the
-/// `repro_*` binaries. Returns `(trials, seed)`.
-#[must_use]
-pub fn parse_cli(default_trials: usize) -> (usize, u64) {
+/// `repro_*` binaries from `args` (without the program name). Returns
+/// `(trials, seed)`; either flag may be omitted (`default_trials`, seed
+/// `0xCE27A`).
+///
+/// # Errors
+///
+/// An unknown argument, a flag without a value, or a value that is not a
+/// non-negative decimal integer.
+pub fn parse_args(args: &[String], default_trials: usize) -> Result<(usize, u64), String> {
     let mut trials = default_trials;
     let mut seed = 0xCE27A;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trials" if i + 1 < args.len() => {
-                trials = args[i + 1].parse().unwrap_or(default_trials);
-                i += 2;
-            }
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().unwrap_or(seed);
-                i += 2;
-            }
-            _ => i += 1,
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let value = match flag.as_str() {
+            "--trials" | "--seed" => args.next().ok_or_else(|| format!("{flag} needs a value"))?,
+            other => return Err(format!("unknown argument {other:?}")),
+        };
+        let invalid = |_| format!("{flag} takes a non-negative integer, got {value:?}");
+        if flag == "--trials" {
+            trials = value.parse().map_err(invalid)?;
+        } else {
+            seed = value.parse().map_err(invalid)?;
         }
     }
-    (trials, seed)
+    Ok((trials, seed))
+}
+
+/// [`parse_args`] over the process arguments. On bad input it prints the
+/// problem and the usage to stderr and exits with code 2, so a typo never
+/// silently runs the defaults.
+#[must_use]
+pub fn parse_cli(default_trials: usize) -> (usize, u64) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_args(&args, default_trials).unwrap_or_else(|e| {
+        let program = std::env::args().next().unwrap_or_default();
+        eprintln!("{program}: {e}\nusage: {program} [--trials N] [--seed N]");
+        std::process::exit(2)
+    })
 }
 
 #[cfg(test)]
@@ -845,7 +868,15 @@ mod tests {
         let workloads = all_workloads();
         let w = workloads.iter().find(|w| w.name() == "adpcm").expect("adpcm");
         let tags = analyze(w.program());
-        let p = measure_point(&**w, &tags, Protection::ControlOnly, 0, 3, 1);
+        let p = measure_point(
+            &golden_session(&**w),
+            &**w,
+            &tags,
+            Protection::ControlOnly,
+            0,
+            3,
+            1,
+        );
         assert_eq!(p.failure_pct, 0.0);
         assert_eq!(p.acceptable_pct, 100.0);
         assert_eq!(p.mean_score, 1.0);
@@ -914,6 +945,35 @@ mod tests {
         assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
         // Order-independent.
         assert!((geomean(&[0.5, 8.0]) - geomean(&[8.0, 0.5])).abs() < 1e-12);
+    }
+
+    #[test]
+    fn parse_args_accepts_the_two_flags_in_any_order() {
+        let args = |v: &[&str]| v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_args(&args(&[]), 40), Ok((40, 0xCE27A)));
+        assert_eq!(
+            parse_args(&args(&["--trials", "1000"]), 40),
+            Ok((1000, 0xCE27A))
+        );
+        assert_eq!(
+            parse_args(&args(&["--seed", "7", "--trials", "3"]), 40),
+            Ok((3, 7))
+        );
+    }
+
+    #[test]
+    fn parse_args_rejects_bad_input() {
+        let err = |v: &[&str]| {
+            let args: Vec<String> = v.iter().map(|s| (*s).to_string()).collect();
+            parse_args(&args, 40).expect_err("must be rejected")
+        };
+        assert!(err(&["--trails", "1000"]).contains("unknown argument"));
+        assert!(err(&["1000"]).contains("unknown argument"));
+        assert!(err(&["--trials"]).contains("needs a value"));
+        assert!(err(&["--trials", "40", "--seed"]).contains("needs a value"));
+        assert!(err(&["--trials", "1e3"]).contains("non-negative integer"));
+        assert!(err(&["--trials", "-5"]).contains("non-negative integer"));
+        assert!(err(&["--seed", "0xCE27A"]).contains("non-negative integer"));
     }
 
     #[test]

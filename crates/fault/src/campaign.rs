@@ -11,7 +11,9 @@
 //!    executes, the campaign records up to 32 [`certa_sim::Snapshot`]s
 //!    (count auto-tuned from [`CampaignConfig::checkpoint_budget_bytes`]),
 //!    doubling the spacing whenever the budget would be exceeded, and
-//!    remembers how many *eligible* writebacks each snapshot had seen.
+//!    remembers each snapshot's per-instruction execution counts, from
+//!    which the *eligible* writebacks it had seen under any protection
+//!    regime follow.
 //! 2. **Fast-forwards each trial**: a trial restores the latest checkpoint
 //!    at or before its earliest planned flip — by eligible-writeback count
 //!    for register plans ([`FaultPlan`]), by dynamic instruction count for
@@ -41,9 +43,12 @@
 //!    the bounded hop-union MRU cache hot. Restores never copy page
 //!    bytes and never allocate: copy-on-write page sharing swaps page
 //!    pointers and recycles displaced pages.
-//! 5. **Decodes once**: the program is lowered to the simulator's micro-op
-//!    form ([`certa_sim::DecodedProgram`]) a single time per campaign and
-//!    shared by the golden run and every trial machine.
+//! 5. **Shares the golden half**: the golden run, its checkpoints and the
+//!    trial program's lowering to the simulator's micro-op form
+//!    ([`certa_sim::DecodedProgram`]) depend on the target alone, so a
+//!    [`GoldenSession`] builds them once and any number of campaigns —
+//!    every regime, fault target, error level, seed and tag map — run on
+//!    them, each trial machine sharing the one lowering.
 //!
 //! **Determinism contract**: checkpointed trials are bit-identical —
 //! outcome, output, instruction count, and injected count — to running the
@@ -86,7 +91,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::injector::{EligibleCounter, ErrorModel, FaultPlan, Injector};
+use crate::injector::{ErrorModel, FaultPlan, Injector};
 use crate::regime::{FaultTarget, MemoryFaultPlan, Protection};
 
 /// Hard cap on golden-run checkpoints, regardless of memory budget.
@@ -646,16 +651,71 @@ pub fn golden_run(
     // plain golden run, sharing one implementation with the checkpointed
     // path so the two can never diverge.
     let decoded = Arc::new(DecodedProgram::new(target.program()));
-    let (golden, _, _) =
-        golden_run_checkpointed(target, &decoded, tags, protection, watchdog, 0, u64::MAX, None);
-    golden
+    let trace = trace_golden(target, &decoded, watchdog, 0, u64::MAX, None);
+    let units = eligible_units(target.program(), tags, protection);
+    GoldenRun {
+        eligible_population: eligible_from_counts(&units, &trace.exec_counts),
+        output: trace.output,
+        instructions: trace.instructions,
+        exec_counts: trace.exec_counts,
+    }
 }
 
-/// A golden-run snapshot plus the number of eligible writebacks it had
-/// seen — the unit the checkpointed scheduler fast-forwards trials to.
+/// A golden-run snapshot plus the per-instruction execution counts up to
+/// it. The eligible writebacks it had seen under any protection regime —
+/// the unit the checkpointed scheduler fast-forwards register trials to —
+/// follow from the counts (see [`eligible_units`]), so one checkpoint
+/// serves every regime.
 struct Checkpoint {
     snapshot: Snapshot,
-    eligible_seen: u64,
+    exec_counts: Vec<u64>,
+}
+
+/// The golden checkpoints and the page diffs between adjacent pairs:
+/// everything about the checkpoints that no campaign configuration
+/// changes, shared by every campaign built on one [`GoldenSession`].
+struct GoldenCheckpoints {
+    checkpoints: Vec<Checkpoint>,
+    /// `adjacent_diffs[i]`: pages on which checkpoints `i` and `i + 1`
+    /// differ ([`Snapshot::diff_pages`] — byte-exact, diffs are a restore
+    /// correctness contract).
+    adjacent_diffs: Vec<Vec<u32>>,
+    /// Bytes materialized by the captures (see
+    /// [`certa_sim::Machine::capture_bytes`]).
+    capture_bytes: u64,
+    /// The capture parameters ([`CampaignConfig::checkpoint_budget_bytes`],
+    /// [`CampaignConfig::checkpoint_stride`]) that laid these checkpoints.
+    budget_bytes: usize,
+    stride: u64,
+}
+
+impl GoldenCheckpoints {
+    fn new(
+        checkpoints: Vec<Checkpoint>,
+        capture_bytes: u64,
+        budget_bytes: usize,
+        stride: u64,
+    ) -> Self {
+        let adjacent_diffs = checkpoints
+            .windows(2)
+            .map(|w| {
+                w[0].snapshot
+                    .diff_pages(&w[1].snapshot)
+                    .expect("golden checkpoints share one memory size")
+            })
+            .collect();
+        GoldenCheckpoints {
+            checkpoints,
+            adjacent_diffs,
+            capture_bytes,
+            budget_bytes,
+            stride,
+        }
+    }
+
+    fn snapshot(&self, index: usize) -> &Snapshot {
+        &self.checkpoints[index].snapshot
+    }
 }
 
 /// One cached hop union: the `(lo, hi)` checkpoint index pair and the
@@ -682,16 +742,16 @@ const HOP_SEGMENT: usize = 4;
 /// [`MAX_CHECKPOINTS`]-bounded index range.
 const MAX_HOP_SPAN: usize = HOP_SEGMENT << 4;
 
-/// The golden checkpoints plus precomputed page diffs between adjacent
-/// pairs, so a worker machine hopping from one checkpoint to another
-/// copies only the pages that actually differ along the hop (plus its own
-/// dirty pages) instead of the whole memory image.
+/// One campaign's view of the golden checkpoints: the eligible writebacks
+/// each had seen under the campaign's regime, plus the restore machinery.
+/// The precomputed adjacent page diffs let a worker machine hopping from
+/// one checkpoint to another copy only the pages that actually differ
+/// along the hop (plus its own dirty pages) instead of the whole memory
+/// image.
 struct CheckpointSet {
-    checkpoints: Vec<Checkpoint>,
-    /// `adjacent_diffs[i]`: pages on which checkpoints `i` and `i + 1`
-    /// differ ([`Snapshot::diff_pages`] — byte-exact, diffs are a restore
-    /// correctness contract).
-    adjacent_diffs: Vec<Vec<u32>>,
+    golden: Arc<GoldenCheckpoints>,
+    /// `eligible_seen[i]`: eligible writebacks before checkpoint `i`.
+    eligible_seen: Vec<u64>,
     /// Bounded MRU cache of hop page-diff unions keyed by `(lo, hi)`
     /// checkpoint index pairs: trial clusters on late checkpoints would
     /// otherwise re-union the same adjacent diffs once per trial. Shared
@@ -707,18 +767,17 @@ struct CheckpointSet {
 }
 
 impl CheckpointSet {
-    fn new(checkpoints: Vec<Checkpoint>) -> Self {
-        let adjacent_diffs = checkpoints
-            .windows(2)
-            .map(|w| {
-                w[0].snapshot
-                    .diff_pages(&w[1].snapshot)
-                    .expect("golden checkpoints share one memory size")
-            })
+    /// The campaign view of `golden` under the eligible-writeback
+    /// indicator `units` (see [`eligible_units`]).
+    fn new(golden: Arc<GoldenCheckpoints>, units: &[u64]) -> Self {
+        let eligible_seen = golden
+            .checkpoints
+            .iter()
+            .map(|c| eligible_from_counts(units, &c.exec_counts))
             .collect();
         CheckpointSet {
-            checkpoints,
-            adjacent_diffs,
+            golden,
+            eligible_seen,
             hop_cache: Mutex::new(Vec::with_capacity(HOP_CACHE_CAPACITY)),
             dirty_restores: AtomicU64::new(0),
             diff_restores: AtomicU64::new(0),
@@ -751,7 +810,7 @@ impl CheckpointSet {
                 return (Some(union), true);
             }
             let mut union: Vec<u32> = Vec::new();
-            for diff in &self.adjacent_diffs[lo..hi] {
+            for diff in &self.golden.adjacent_diffs[lo..hi] {
                 union.extend_from_slice(diff);
             }
             union.sort_unstable();
@@ -764,7 +823,7 @@ impl CheckpointSet {
             return (Some(union), false);
         }
         diff_scratch.clear();
-        for diff in &self.adjacent_diffs[lo..hi] {
+        for diff in &self.golden.adjacent_diffs[lo..hi] {
             diff_scratch.extend_from_slice(diff);
         }
         diff_scratch.sort_unstable();
@@ -835,21 +894,22 @@ impl CheckpointSet {
     /// paths are bit-identical: every waypoint restore lands the machine
     /// exactly on that checkpoint's state.
     fn restore(&self, machine: &mut Machine<'_>, index: usize, diff_scratch: &mut Vec<u32>) {
-        let target = &self.checkpoints[index];
+        let target = self.golden.snapshot(index);
         let base = machine.base_snapshot_id();
-        if base == target.snapshot.id() {
+        if base == target.id() {
             self.dirty_restores.fetch_add(1, Ordering::Relaxed);
             machine
-                .restore(&target.snapshot)
+                .restore(target)
                 .expect("checkpoint memory image matches the trial machine");
             return;
         }
         if let Some(from) = self
+            .golden
             .checkpoints
             .iter()
             .position(|c| c.snapshot.id() == base)
         {
-            let limit = target.snapshot.page_count() / 2;
+            let limit = target.page_count() / 2;
             let mut cache_hits = 0u64;
             let mut cur = from;
             loop {
@@ -867,12 +927,12 @@ impl CheckpointSet {
                     self.full_restores.fetch_add(1, Ordering::Relaxed);
                     self.diff_cache_hits.fetch_add(cache_hits, Ordering::Relaxed);
                     machine
-                        .restore(&target.snapshot)
+                        .restore(target)
                         .expect("checkpoint memory image matches the trial machine");
                     return;
                 }
                 machine
-                    .restore_with_diff(&self.checkpoints[next].snapshot, union)
+                    .restore_with_diff(self.golden.snapshot(next), union)
                     .expect("checkpoint memory image matches the trial machine");
                 if cache_hit {
                     cache_hits += 1;
@@ -888,7 +948,7 @@ impl CheckpointSet {
         }
         self.full_restores.fetch_add(1, Ordering::Relaxed);
         machine
-            .restore(&target.snapshot)
+            .restore(target)
             .expect("checkpoint memory image matches the trial machine");
     }
 
@@ -901,16 +961,33 @@ impl CheckpointSet {
             full_image: self.full_restores.load(Ordering::Relaxed),
         }
     }
+
+    /// The latest checkpoint a trial with this plan can restore from:
+    /// register plans compare against the checkpoint's eligible-writeback
+    /// count, memory plans against its dynamic instruction count (strictly
+    /// below the earliest flip boundary, which is where the flip *pauses*,
+    /// so restoring there would skip it).
+    fn restore_index(&self, plan: &TrialPlan) -> usize {
+        let earliest = plan.earliest_injection().expect("plan is non-empty");
+        match plan {
+            TrialPlan::Reg(_) => self.eligible_seen.partition_point(|&e| e <= earliest),
+            TrialPlan::Mem(_) => self
+                .golden
+                .checkpoints
+                .partition_point(|c| c.snapshot.instructions() < earliest),
+        }
+        .saturating_sub(1)
+    }
 }
 
 /// Per-instruction indicator of the eligible-writeback population: `1`
 /// where instruction `i` produces a value and `protection`'s mask admits
 /// it, else `0`. Dotting this with a profiled run's execution counts
-/// yields exactly what an [`EligibleCounter`] hook counts over the same
-/// run — every value-producing instruction performs one hook-visible
-/// writeback per execution — which is how the native golden path
-/// (hook-free by construction, see [`certa_sim::Machine::run_aot`])
-/// recovers `eligible_seen` at checkpoint boundaries.
+/// yields exactly what a writeback hook counting eligible instructions
+/// would see over the same run — every value-producing instruction
+/// performs one hook-visible writeback per execution — which is how a
+/// hook-free golden run (on either tier) yields the eligible population
+/// and every checkpoint's `eligible_seen` for any regime.
 fn eligible_units(program: &Program, tags: &TagMap, protection: Protection) -> Vec<u64> {
     let mask = protection.eligibility_mask(program, tags);
     program
@@ -927,30 +1004,36 @@ fn eligible_from_counts(units: &[u64], exec_counts: &[u64]) -> u64 {
     units.iter().zip(exec_counts).map(|(u, c)| u * c).sum()
 }
 
-/// Runs the golden reference like [`golden_run`], additionally recording
+/// What a profiled, hook-free golden run observes: nothing here depends
+/// on a protection regime or a tag map.
+struct GoldenTrace {
+    output: Vec<u8>,
+    instructions: u64,
+    exec_counts: Vec<u64>,
+    checkpoints: Vec<Checkpoint>,
+    /// Bytes materialized by the checkpoint captures (see
+    /// [`certa_sim::Machine::capture_bytes`]).
+    capture_bytes: u64,
+}
+
+/// Runs the golden reference with profiling and no hook, recording
 /// checkpoints: snapshots spaced `stride` dynamic instructions apart,
 /// thinned (keep every other, double the stride) whenever the count would
 /// exceed the memory budget. Checkpoint 0 is always the post-`prepare`
-/// state at instruction zero, so every trial has a restore point. The
-/// third return value is the bytes actually materialized by the captures
-/// (see [`certa_sim::Machine::capture_bytes`]).
+/// state at instruction zero, so every trial has a restore point.
 ///
 /// With `aot` supplied, the run executes on the tier-4 native regions
-/// ([`certa_sim::Machine::run_until_aot`]) instead of the hooked
-/// interpreter, and eligible-writeback counts are recovered from the
-/// profile ([`eligible_units`]) — bit-identical state, counts, and
-/// checkpoints either way, just faster.
-#[allow(clippy::too_many_arguments)]
-fn golden_run_checkpointed(
+/// ([`certa_sim::Machine::run_until_aot`]) instead of the interpreter —
+/// bit-identical state, profile counts and checkpoints either way, just
+/// faster.
+fn trace_golden(
     target: &dyn Target,
     decoded: &Arc<DecodedProgram>,
-    tags: &TagMap,
-    protection: Protection,
     watchdog: u64,
     budget_bytes: usize,
     stride: u64,
     aot: Option<&AotProgram>,
-) -> (GoldenRun, Vec<Checkpoint>, u64) {
+) -> GoldenTrace {
     let program = target.program();
     let config = MachineConfig {
         mem_size: target.mem_size(),
@@ -960,16 +1043,10 @@ fn golden_run_checkpointed(
     let mut machine = Machine::try_new_with_decoded(program, decoded, &config)
         .unwrap_or_else(|e| panic!("machine configuration rejected: {e}"));
     target.prepare(&mut machine);
-    let mut counter = EligibleCounter::new(program, tags, protection);
-    let units = aot.map(|_| eligible_units(program, tags, protection));
-    let eligible_seen = |machine: &Machine<'_>, counter: &EligibleCounter| match &units {
-        Some(units) => eligible_from_counts(units, machine.exec_counts()),
-        None => counter.count,
-    };
 
     let mut checkpoints = vec![Checkpoint {
         snapshot: machine.snapshot(),
-        eligible_seen: 0,
+        exec_counts: machine.exec_counts().to_vec(),
     }];
     let max_snapshots =
         (budget_bytes / checkpoints[0].snapshot.size_bytes().max(1)).clamp(1, MAX_CHECKPOINTS);
@@ -979,7 +1056,7 @@ fn golden_run_checkpointed(
         let next_at = machine.instructions().saturating_add(stride);
         let bounded = match aot {
             Some(aot) => machine.run_until_aot(&mut NoHook, aot, next_at),
-            None => machine.run_until(&mut counter, next_at),
+            None => machine.run_until(&mut NoHook, next_at),
         };
         match bounded {
             BoundedRun::Finished(result) => break result,
@@ -999,7 +1076,7 @@ fn golden_run_checkpointed(
                 if machine.instructions() - last.snapshot.instructions() >= stride {
                     checkpoints.push(Checkpoint {
                         snapshot: machine.snapshot(),
-                        eligible_seen: eligible_seen(&machine, &counter),
+                        exec_counts: machine.exec_counts().to_vec(),
                     });
                 }
             }
@@ -1012,26 +1089,203 @@ fn golden_run_checkpointed(
         "golden run must halt cleanly, got {}",
         result.outcome
     );
-    let eligible_population = eligible_seen(&machine, &counter);
-    debug_assert_eq!(
-        eligible_population,
-        eligible_from_counts(
-            &eligible_units(program, tags, protection),
-            machine.exec_counts()
-        ),
-        "hook-counted and profile-derived eligible populations must agree"
-    );
-    let output = target
-        .extract(&machine)
-        .expect("golden run must produce readable output");
-    let golden = GoldenRun {
-        output,
+    GoldenTrace {
+        output: target
+            .extract(&machine)
+            .expect("golden run must produce readable output"),
         instructions: result.instructions,
-        eligible_population,
         exec_counts: machine.exec_counts().to_vec(),
-    };
-    let capture_bytes = machine.capture_bytes();
-    (golden, checkpoints, capture_bytes)
+        checkpoints,
+        capture_bytes: machine.capture_bytes(),
+    }
+}
+
+/// The per-workload half of a campaign: the predecoded golden run, its
+/// profile and checkpoints, and the trial program lowering it seeds —
+/// everything that depends on the target alone, built once and shared by
+/// any number of campaigns ([`GoldenSession::campaign`]) over every
+/// protection regime, fault target, error level, seed and tag map.
+///
+/// A campaign built on a shared golden session is identical — records,
+/// [`CampaignSession::fingerprint`], golden observables — to one built
+/// by [`CampaignSession::new`], which is exactly these two steps.
+pub struct GoldenSession<'a> {
+    target: &'a dyn Target,
+    output: Vec<u8>,
+    instructions: u64,
+    exec_counts: Vec<u64>,
+    /// `None` when built without checkpointing.
+    checkpoints: Option<Arc<GoldenCheckpoints>>,
+    trial_decoded: Arc<DecodedProgram>,
+}
+
+impl<'a> GoldenSession<'a> {
+    /// Runs `target`'s golden reference — on tier-4 native regions when
+    /// `aot` is supplied (it must have been generated from `target`'s
+    /// program), else on the interpreter; both are bit-identical —
+    /// capturing checkpoints with `config`'s budget and stride when
+    /// [`CampaignConfig::checkpointing`] is on, and lowers the trial
+    /// program seeded with the golden profile. No other field of `config`
+    /// is read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the golden run fails (see [`golden_run`]) or on an
+    /// `aot`/program length mismatch.
+    #[must_use]
+    pub fn new(target: &'a dyn Target, config: &CampaignConfig, aot: Option<&AotProgram>) -> Self {
+        let program = target.program();
+        // One decode for the golden run; trials get their own seeded
+        // lowering below.
+        let decoded = Arc::new(DecodedProgram::new(program));
+        // Large budget for the golden run; the trial watchdog derives
+        // from it.
+        let golden_budget = u64::MAX / 2;
+        let (budget, stride) = if config.checkpointing {
+            (config.checkpoint_budget_bytes, config.checkpoint_stride)
+        } else {
+            (0, u64::MAX)
+        };
+        let trace = trace_golden(target, &decoded, golden_budget, budget, stride, aot);
+        let checkpoints = config.checkpointing.then(|| {
+            Arc::new(GoldenCheckpoints::new(
+                trace.checkpoints,
+                trace.capture_bytes,
+                budget,
+                stride,
+            ))
+        });
+        // Trials re-lower the program with the golden run's execution
+        // counts seeding the superblock policy: only blocks the golden run
+        // actually reached get trace bodies, which is where trials spend
+        // nearly all of their time (they diverge from golden only after a
+        // flip lands). Decoded once, shared by every worker machine of
+        // every campaign on this session.
+        let trial_decoded = Arc::new(DecodedProgram::with_policy(
+            program,
+            &SuperblockPolicy::seeded(trace.exec_counts.clone()),
+        ));
+        GoldenSession {
+            target,
+            output: trace.output,
+            instructions: trace.instructions,
+            exec_counts: trace.exec_counts,
+            checkpoints,
+            trial_decoded,
+        }
+    }
+
+    /// Dynamic instructions the golden run executed.
+    #[must_use]
+    pub fn instructions(&self) -> u64 {
+        self.instructions
+    }
+
+    /// Per-instruction execution counts of the golden run (for Table 3
+    /// dynamic statistics).
+    #[must_use]
+    pub fn exec_counts(&self) -> &[u64] {
+        &self.exec_counts
+    }
+
+    /// Prepares one campaign on this golden run: the eligible population
+    /// and every checkpoint's eligible count under `config.protection`
+    /// (profile dot products — no execution), the trial watchdog, and the
+    /// pre-sampled plans. Restore and harness counters start at zero and
+    /// belong to the returned session alone. With `checkpointing: false`
+    /// the campaign ignores any checkpoints and reports zero capture
+    /// bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` asks for checkpointing with a budget or stride
+    /// other than this session's (or this session has no checkpoints), or
+    /// if `config.trials` does not fit in `u32`.
+    #[must_use]
+    pub fn campaign<'t>(&self, tags: &'t TagMap, config: &CampaignConfig) -> CampaignSession<'t>
+    where
+        'a: 't,
+    {
+        assert!(
+            u32::try_from(config.trials).is_ok(),
+            "trial ids must fit in u32"
+        );
+        let started = Instant::now();
+        let program = self.target.program();
+        let units = eligible_units(program, tags, config.protection);
+        let checkpoints = config.checkpointing.then(|| {
+            let golden = self
+                .checkpoints
+                .as_ref()
+                .expect("a checkpointed campaign needs a golden session built with checkpointing");
+            assert_eq!(
+                (golden.budget_bytes, golden.stride),
+                (config.checkpoint_budget_bytes, config.checkpoint_stride),
+                "campaign checkpoint budget/stride must match the golden session's"
+            );
+            CheckpointSet::new(Arc::clone(golden), &units)
+        });
+        let golden = GoldenRun {
+            output: self.output.clone(),
+            instructions: self.instructions,
+            eligible_population: eligible_from_counts(&units, &self.exec_counts),
+            exec_counts: self.exec_counts.clone(),
+        };
+        let watchdog = golden
+            .instructions
+            .saturating_mul(config.watchdog_factor)
+            .max(golden.instructions + 1_000_000);
+
+        let threads = if config.threads == 0 {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        } else {
+            config.threads
+        };
+
+        let machine_config = MachineConfig {
+            mem_size: self.target.mem_size(),
+            max_instructions: watchdog,
+            profile: false,
+        };
+
+        // Pre-sample every trial's plan. This matches sampling inside the
+        // trial exactly — the per-trial RNG is used for nothing else — and
+        // the scheduler needs the injection points up front to sort
+        // trials.
+        let plans: Vec<TrialPlan> = (0..config.trials)
+            .map(|t| {
+                let mut rng = SmallRng::seed_from_u64(trial_seed(config.seed, t));
+                match config.target {
+                    FaultTarget::Registers => TrialPlan::Reg(FaultPlan::sample(
+                        &mut rng,
+                        golden.eligible_population,
+                        config.errors,
+                    )),
+                    FaultTarget::MemoryCells => TrialPlan::Mem(MemoryFaultPlan::sample(
+                        &mut rng,
+                        golden.instructions,
+                        program.data.len(),
+                        config.errors,
+                    )),
+                }
+            })
+            .collect();
+
+        CampaignSession {
+            target: self.target,
+            tags,
+            config: config.clone(),
+            threads,
+            run_slice: derive_run_slice(golden.instructions),
+            golden,
+            checkpoints,
+            trial_decoded: Arc::clone(&self.trial_decoded),
+            machine_config,
+            plans,
+            counters: HarnessCounters::default(),
+            started,
+        }
+    }
 }
 
 /// One trial's pre-sampled fault plan, dispatched by the campaign's
@@ -1056,28 +1310,6 @@ impl TrialPlan {
         match self {
             TrialPlan::Reg(p) => p.earliest_injection(),
             TrialPlan::Mem(p) => p.earliest_injection(),
-        }
-    }
-}
-
-/// The latest checkpoint a trial with this plan can restore from:
-/// register plans compare against the checkpoint's eligible-writeback
-/// count, memory plans against its dynamic instruction count (strictly
-/// below the earliest flip boundary, which is where the flip *pauses*,
-/// so restoring there would skip it).
-fn restore_checkpoint_index(checkpoints: &[Checkpoint], plan: &TrialPlan) -> usize {
-    match plan {
-        TrialPlan::Reg(p) => {
-            let earliest = p.earliest_injection().expect("plan is non-empty");
-            checkpoints
-                .partition_point(|c| c.eligible_seen <= earliest)
-                .saturating_sub(1)
-        }
-        TrialPlan::Mem(p) => {
-            let earliest = p.earliest_injection().expect("plan is non-empty");
-            checkpoints
-                .partition_point(|c| c.snapshot.instructions() < earliest)
-                .saturating_sub(1)
         }
     }
 }
@@ -1255,7 +1487,7 @@ fn run_trial_checkpointed(
         .checkpoints
         .as_ref()
         .expect("checkpointed trial runner requires a checkpoint set");
-    let checkpoints = &checkpoint_set.checkpoints;
+    let checkpoints = &checkpoint_set.golden.checkpoints;
     if plan.is_empty() {
         // No flips will ever fire, so the trial *is* the golden run.
         return TrialExec::Done(TrialResult {
@@ -1266,8 +1498,7 @@ fn run_trial_checkpointed(
         });
     }
 
-    let cp_index = restore_checkpoint_index(checkpoints, plan);
-    let checkpoint = &checkpoints[cp_index];
+    let cp_index = checkpoint_set.restore_index(plan);
     checkpoint_set.restore(machine, cp_index, diff_scratch);
 
     // Stage 1: apply every planned flip, then find the first probe index.
@@ -1292,14 +1523,16 @@ fn run_trial_checkpointed(
                     plan.clone(),
                     config.model,
                 )
-                .resume_from(checkpoint.eligible_seen),
+                .resume_from(checkpoint_set.eligible_seen[cp_index]),
             );
             // First checkpoint whose eligible count is past every planned
             // flip (on the golden path; a control-divergent trial cannot
             // splice anyway and the injected == planned guard below stays
             // authoritative).
             Stage1::Probing {
-                next_index: checkpoints.partition_point(|c| c.eligible_seen <= latest),
+                next_index: checkpoint_set
+                    .eligible_seen
+                    .partition_point(|&e| e <= latest),
             }
         }
         TrialPlan::Mem(plan) => {
@@ -1578,7 +1811,9 @@ pub struct TrialChunk {
 /// A fully prepared campaign: the golden run, its checkpoint set, the
 /// predecoded trial program, and every trial's pre-sampled fault plan —
 /// everything [`run_campaign`] builds before scheduling, held open so
-/// trials can be executed in arbitrary subsets.
+/// trials can be executed in arbitrary subsets. The golden half is shared
+/// (see [`GoldenSession`]); the plans, eligible counts and restore and
+/// harness counters are this campaign's own.
 ///
 /// This is the seam the distributed service (`certa-dist`) splits the
 /// campaign along: a coordinator and each worker process independently
@@ -1601,7 +1836,6 @@ pub struct CampaignSession<'a> {
     run_slice: u64,
     golden: GoldenRun,
     checkpoints: Option<CheckpointSet>,
-    checkpoint_capture_bytes: u64,
     trial_decoded: Arc<DecodedProgram>,
     machine_config: MachineConfig,
     plans: Vec<TrialPlan>,
@@ -1641,107 +1875,11 @@ impl<'a> CampaignSession<'a> {
         config: &CampaignConfig,
         aot: Option<&AotProgram>,
     ) -> Self {
-        assert!(
-            u32::try_from(config.trials).is_ok(),
-            "trial ids must fit in u32"
-        );
-        let started = std::time::Instant::now();
-        // One decode per session: the golden run and every trial machine
-        // share the same micro-op lowering.
-        let decoded = Arc::new(DecodedProgram::new(target.program()));
-        // Large budget for the golden run; the trial watchdog derives
-        // from it.
-        let golden_budget = u64::MAX / 2;
-        let (golden, checkpoints, checkpoint_capture_bytes) = if config.checkpointing {
-            let (golden, checkpoints, capture_bytes) = golden_run_checkpointed(
-                target,
-                &decoded,
-                tags,
-                config.protection,
-                golden_budget,
-                config.checkpoint_budget_bytes,
-                config.checkpoint_stride,
-                aot,
-            );
-            (golden, Some(CheckpointSet::new(checkpoints)), capture_bytes)
-        } else {
-            let (golden, _, _) = golden_run_checkpointed(
-                target,
-                &decoded,
-                tags,
-                config.protection,
-                golden_budget,
-                0,
-                u64::MAX,
-                aot,
-            );
-            (golden, None, 0)
-        };
-        let watchdog = golden
-            .instructions
-            .saturating_mul(config.watchdog_factor)
-            .max(golden.instructions + 1_000_000);
-
-        let threads = if config.threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            config.threads
-        };
-
-        let program = target.program();
-        let machine_config = MachineConfig {
-            mem_size: target.mem_size(),
-            max_instructions: watchdog,
-            profile: false,
-        };
-        // Trials re-lower the program with the golden run's execution
-        // counts seeding the superblock policy: only blocks the golden run
-        // actually reached get trace bodies, which is where trials spend
-        // nearly all of their time (they diverge from golden only after a
-        // flip lands). Decoded once, shared by every worker machine.
-        let trial_decoded = Arc::new(DecodedProgram::with_policy(
-            program,
-            &SuperblockPolicy::seeded(golden.exec_counts.clone()),
-        ));
-
-        // Pre-sample every trial's plan. This matches sampling inside the
-        // trial exactly — the per-trial RNG is used for nothing else — and
-        // the scheduler needs the injection points up front to sort
-        // trials.
-        let plans: Vec<TrialPlan> = (0..config.trials)
-            .map(|t| {
-                let mut rng = SmallRng::seed_from_u64(trial_seed(config.seed, t));
-                match config.target {
-                    FaultTarget::Registers => TrialPlan::Reg(FaultPlan::sample(
-                        &mut rng,
-                        golden.eligible_population,
-                        config.errors,
-                    )),
-                    FaultTarget::MemoryCells => TrialPlan::Mem(MemoryFaultPlan::sample(
-                        &mut rng,
-                        golden.instructions,
-                        program.data.len(),
-                        config.errors,
-                    )),
-                }
-            })
-            .collect();
-
-        CampaignSession {
-            target,
-            tags,
-            config: config.clone(),
-            threads,
-            run_slice: derive_run_slice(golden.instructions),
-            golden,
-            checkpoints,
-            checkpoint_capture_bytes,
-            trial_decoded,
-            machine_config,
-            plans,
-            counters: HarnessCounters::default(),
-            started,
-        }
+        let started = Instant::now();
+        let mut session = GoldenSession::new(target, config, aot).campaign(tags, config);
+        // A session built alone pays for its golden run.
+        session.started = started;
+        session
     }
 
     /// The fault-free reference run.
@@ -1760,11 +1898,14 @@ impl<'a> CampaignSession<'a> {
     /// [`CampaignResult::checkpoint_capture_bytes`]).
     #[must_use]
     pub fn checkpoint_capture_bytes(&self) -> u64 {
-        self.checkpoint_capture_bytes
+        self.checkpoints
+            .as_ref()
+            .map_or(0, |c| c.golden.capture_bytes)
     }
 
     /// Wall-clock time since session construction began (includes the
-    /// golden run, like [`CampaignResult::elapsed`]).
+    /// golden run, like [`CampaignResult::elapsed`], unless the session
+    /// was prepared on a shared [`GoldenSession`]).
     #[must_use]
     pub fn elapsed(&self) -> Duration {
         self.started.elapsed()
@@ -1824,9 +1965,7 @@ impl<'a> CampaignSession<'a> {
     fn sort_key(&self, trial: u32) -> (usize, u64) {
         let plan = &self.plans[trial as usize];
         match (&self.checkpoints, plan.earliest_injection()) {
-            (Some(set), Some(earliest)) => {
-                (restore_checkpoint_index(&set.checkpoints, plan), earliest)
-            }
+            (Some(set), Some(earliest)) => (set.restore_index(plan), earliest),
             _ => (usize::MAX, u64::MAX),
         }
     }
@@ -1914,7 +2053,7 @@ impl<'a> CampaignSession<'a> {
                 // cache. (One giant chunk per worker would minimize hops
                 // but leave every hop key unique — a cold cache and a
                 // load-balance cliff.)
-                let groups = checkpoint_set.checkpoints.len().max(1);
+                let groups = checkpoint_set.eligible_seen.len().max(1);
                 let chunk = (n / (groups * self.threads * 2).max(1)).clamp(1, 64);
                 schedule_trials(
                     &order,
@@ -1924,7 +2063,7 @@ impl<'a> CampaignSession<'a> {
                         let machine = Machine::from_snapshot_with_decoded(
                             self.target.program(),
                             &self.trial_decoded,
-                            &checkpoint_set.checkpoints[0].snapshot,
+                            checkpoint_set.golden.snapshot(0),
                             &self.machine_config,
                         )
                         .expect("checkpoint matches the campaign machine config");
@@ -1938,7 +2077,7 @@ impl<'a> CampaignSession<'a> {
                             &self.counters,
                             worker,
                             |w| {
-                                w.0.restore_full(&checkpoint_set.checkpoints[0].snapshot)
+                                w.0.restore_full(checkpoint_set.golden.snapshot(0))
                                     .expect("checkpoint matches the campaign machine config");
                             },
                             |w, deadline| {
@@ -1995,12 +2134,13 @@ impl<'a> CampaignSession<'a> {
     pub fn finish(self, trials: Vec<TrialRecord>) -> CampaignResult {
         let restore_stats = self.restore_stats();
         let harness_stats = self.counters.snapshot();
+        let checkpoint_capture_bytes = self.checkpoint_capture_bytes();
         let result = CampaignResult {
             golden: self.golden,
             trials,
             restore_stats,
             harness_stats,
-            checkpoint_capture_bytes: self.checkpoint_capture_bytes,
+            checkpoint_capture_bytes,
             elapsed: self.started.elapsed(),
         };
         if let Err(violation) = result.verify_reconciliation() {
@@ -2031,6 +2171,8 @@ mod tests {
     use certa_asm::Asm;
     use certa_core::analyze;
     use certa_isa::reg::{T0, T1, T2, T3};
+
+    use crate::injector::EligibleCounter;
 
     /// A tiny workload: sums an input array of 64 bytes into a 32-bit output.
     struct SumTarget {
@@ -2292,28 +2434,75 @@ mod tests {
         let t = SumTarget::new();
         let tags = analyze(&t.program);
         let plain = golden_run(&t, &tags, Protection::ControlOnly, 1_000_000);
-        let decoded = Arc::new(DecodedProgram::new(&t.program));
-        let (checkpointed, cps, _) = golden_run_checkpointed(
-            &t,
-            &decoded,
-            &tags,
-            Protection::ControlOnly,
-            1_000_000,
-            256 << 20,
-            50,
-            None,
-        );
-        assert_eq!(plain.output, checkpointed.output);
-        assert_eq!(plain.instructions, checkpointed.instructions);
-        assert_eq!(plain.eligible_population, checkpointed.eligible_population);
-        assert_eq!(plain.exec_counts, checkpointed.exec_counts);
+        let config = CampaignConfig {
+            checkpoint_stride: 50,
+            ..CampaignConfig::default()
+        };
+        let session = GoldenSession::new(&t, &config, None);
+        assert_eq!(plain.output, session.output);
+        assert_eq!(plain.instructions, session.instructions());
+        assert_eq!(plain.exec_counts, session.exec_counts());
+        let cps = &session.checkpoints.as_ref().unwrap().checkpoints;
         assert!(cps.len() > 2, "stride 50 must yield several checkpoints");
         assert!(cps.len() <= MAX_CHECKPOINTS);
         assert_eq!(cps[0].snapshot.instructions(), 0);
         assert!(cps
             .windows(2)
             .all(|w| w[0].snapshot.instructions() < w[1].snapshot.instructions()));
-        assert!(cps.windows(2).all(|w| w[0].eligible_seen <= w[1].eligible_seen));
+        let campaign = session.campaign(&tags, &config);
+        assert_eq!(
+            plain.eligible_population,
+            campaign.golden.eligible_population
+        );
+        let seen = &campaign.checkpoints.as_ref().unwrap().eligible_seen;
+        assert!(seen.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// The eligible-writeback oracle: under every regime, a hook counting
+    /// eligible writebacks while the interpreter runs to each checkpoint
+    /// sees exactly the profile-derived `eligible_seen`, and over the
+    /// whole run exactly the eligible population.
+    #[test]
+    fn profile_derived_eligible_counts_match_the_hook_count() {
+        let t = SumTarget::new();
+        let tags = analyze(&t.program);
+        let config = CampaignConfig {
+            checkpoint_stride: 50,
+            ..CampaignConfig::default()
+        };
+        let golden = GoldenSession::new(&t, &config, None);
+        let machine_config = MachineConfig {
+            mem_size: t.mem_size(),
+            max_instructions: 1_000_000,
+            profile: false,
+        };
+        for protection in Protection::all() {
+            let campaign = golden.campaign(
+                &tags,
+                &CampaignConfig {
+                    protection,
+                    ..config.clone()
+                },
+            );
+            let set = campaign.checkpoints.as_ref().unwrap();
+            assert!(set.eligible_seen.len() > 2);
+            let mut machine = Machine::new(&t.program, &machine_config);
+            t.prepare(&mut machine);
+            let mut counter = EligibleCounter::new(&t.program, &tags, protection);
+            for (i, &seen) in set.eligible_seen.iter().enumerate().skip(1) {
+                let at = set.golden.snapshot(i).instructions();
+                assert!(matches!(
+                    machine.run_until(&mut counter, at),
+                    BoundedRun::Paused
+                ));
+                assert_eq!(counter.count, seen, "{protection:?}: checkpoint {i}");
+            }
+            assert_eq!(machine.run(&mut counter).outcome, Outcome::Halted);
+            assert_eq!(
+                counter.count, campaign.golden.eligible_population,
+                "{protection:?}: eligible population"
+            );
+        }
     }
 
     /// Tiny budgets degrade gracefully to a single instruction-zero
@@ -2339,26 +2528,31 @@ mod tests {
         assert_eq!(fast.trials, slow.trials);
     }
 
+    /// The golden checkpoints of `t` at `stride`, viewed as one
+    /// `ControlOnly` campaign's checkpoint set.
+    fn checkpoint_set(t: &SumTarget, decoded: &Arc<DecodedProgram>, stride: u64) -> CheckpointSet {
+        let trace = trace_golden(t, decoded, 1_000_000, 256 << 20, stride, None);
+        let golden =
+            GoldenCheckpoints::new(trace.checkpoints, trace.capture_bytes, 256 << 20, stride);
+        let units = eligible_units(&t.program, &analyze(&t.program), Protection::ControlOnly);
+        CheckpointSet::new(Arc::new(golden), &units)
+    }
+
     /// Checkpoint-hopping restores (forward and backward, through the
     /// precomputed adjacent page diffs) must land on bit-identical state.
     #[test]
     fn checkpoint_set_hops_are_bit_identical() {
         let t = SumTarget::new();
-        let tags = analyze(&t.program);
         let decoded = Arc::new(DecodedProgram::new(&t.program));
-        let (_, checkpoints, _) = golden_run_checkpointed(
-            &t,
-            &decoded,
-            &tags,
-            Protection::ControlOnly,
-            1_000_000,
-            256 << 20,
-            40,
-            None,
+        let set = checkpoint_set(&t, &decoded, 40);
+        assert!(
+            set.eligible_seen.len() >= 4,
+            "need several checkpoints to hop"
         );
-        assert!(checkpoints.len() >= 4, "need several checkpoints to hop");
-        let set = CheckpointSet::new(checkpoints);
-        assert_eq!(set.adjacent_diffs.len(), set.checkpoints.len() - 1);
+        assert_eq!(
+            set.golden.adjacent_diffs.len(),
+            set.golden.checkpoints.len() - 1
+        );
 
         let config = MachineConfig {
             mem_size: t.mem_size(),
@@ -2368,7 +2562,7 @@ mod tests {
         let mut machine = Machine::from_snapshot_with_decoded(
             &t.program,
             &decoded,
-            &set.checkpoints[0].snapshot,
+            set.golden.snapshot(0),
             &config,
         )
         .unwrap();
@@ -2379,7 +2573,7 @@ mod tests {
             machine.run_until_simple(machine.instructions() + 17);
             set.restore(&mut machine, index, &mut scratch);
             assert!(
-                machine.state_eq(&set.checkpoints[index].snapshot),
+                machine.state_eq(set.golden.snapshot(index)),
                 "hop to checkpoint {index} must be exact"
             );
         }
@@ -2391,20 +2585,9 @@ mod tests {
     #[test]
     fn hop_union_cache_hits_on_repeated_hops() {
         let t = SumTarget::new();
-        let tags = analyze(&t.program);
         let decoded = Arc::new(DecodedProgram::new(&t.program));
-        let (_, checkpoints, _) = golden_run_checkpointed(
-            &t,
-            &decoded,
-            &tags,
-            Protection::ControlOnly,
-            1_000_000,
-            256 << 20,
-            40,
-            None,
-        );
-        assert!(checkpoints.len() >= 4);
-        let set = CheckpointSet::new(checkpoints);
+        let set = checkpoint_set(&t, &decoded, 40);
+        assert!(set.eligible_seen.len() >= 4);
         let config = MachineConfig {
             mem_size: t.mem_size(),
             max_instructions: 1_000_000,
@@ -2413,7 +2596,7 @@ mod tests {
         let mut machine = Machine::from_snapshot_with_decoded(
             &t.program,
             &decoded,
-            &set.checkpoints[0].snapshot,
+            set.golden.snapshot(0),
             &config,
         )
         .unwrap();
@@ -2422,7 +2605,7 @@ mod tests {
         // further 0↔3 hop (diffs are symmetric) is a cache hit.
         for &index in &[3usize, 0, 3, 0, 3] {
             set.restore(&mut machine, index, &mut scratch);
-            assert!(machine.state_eq(&set.checkpoints[index].snapshot));
+            assert!(machine.state_eq(set.golden.snapshot(index)));
         }
         let stats = set.stats();
         assert_eq!(stats.diff_hop, 5, "every ping-pong hop is diff-based");
@@ -2442,19 +2625,8 @@ mod tests {
     #[test]
     fn foreign_base_takes_the_full_image_path() {
         let t = SumTarget::new();
-        let tags = analyze(&t.program);
         let decoded = Arc::new(DecodedProgram::new(&t.program));
-        let (_, checkpoints, _) = golden_run_checkpointed(
-            &t,
-            &decoded,
-            &tags,
-            Protection::ControlOnly,
-            1_000_000,
-            256 << 20,
-            40,
-            None,
-        );
-        let set = CheckpointSet::new(checkpoints);
+        let set = checkpoint_set(&t, &decoded, 40);
         let config = MachineConfig {
             mem_size: t.mem_size(),
             max_instructions: 1_000_000,
@@ -2471,7 +2643,7 @@ mod tests {
                 .unwrap();
         let mut scratch = Vec::new();
         set.restore(&mut machine, 2, &mut scratch);
-        assert!(machine.state_eq(&set.checkpoints[2].snapshot));
+        assert!(machine.state_eq(set.golden.snapshot(2)));
         set.restore(&mut machine, 2, &mut scratch);
         let stats = set.stats();
         assert_eq!(stats.full_image, 1, "foreign base cannot hop by diff");
@@ -2663,24 +2835,13 @@ mod tests {
     #[test]
     fn unrelated_hops_share_cached_span_unions() {
         let t = SumTarget::new();
-        let tags = analyze(&t.program);
         let decoded = Arc::new(DecodedProgram::new(&t.program));
-        let (_, checkpoints, _) = golden_run_checkpointed(
-            &t,
-            &decoded,
-            &tags,
-            Protection::ControlOnly,
-            1_000_000,
-            256 << 20,
-            20,
-            None,
-        );
+        let set = checkpoint_set(&t, &decoded, 20);
         assert!(
-            checkpoints.len() >= 18,
+            set.eligible_seen.len() >= 18,
             "need indices through 17, got {}",
-            checkpoints.len()
+            set.eligible_seen.len()
         );
-        let set = CheckpointSet::new(checkpoints);
         let config = MachineConfig {
             mem_size: t.mem_size(),
             max_instructions: 1_000_000,
@@ -2693,12 +2854,12 @@ mod tests {
         let mut from3 = Machine::from_snapshot_with_decoded(
             &t.program,
             &decoded,
-            &set.checkpoints[3].snapshot,
+            set.golden.snapshot(3),
             &config,
         )
         .unwrap();
         set.restore(&mut from3, 17, &mut scratch);
-        assert!(from3.state_eq(&set.checkpoints[17].snapshot));
+        assert!(from3.state_eq(set.golden.snapshot(17)));
         assert_eq!(set.stats().diff_union_cache_hits, 0);
 
         // An unrelated worker based on checkpoint 1 hops to the same
@@ -2707,12 +2868,12 @@ mod tests {
         let mut from1 = Machine::from_snapshot_with_decoded(
             &t.program,
             &decoded,
-            &set.checkpoints[1].snapshot,
+            set.golden.snapshot(1),
             &config,
         )
         .unwrap();
         set.restore(&mut from1, 17, &mut scratch);
-        assert!(from1.state_eq(&set.checkpoints[17].snapshot));
+        assert!(from1.state_eq(set.golden.snapshot(17)));
         let stats = set.stats();
         assert_eq!(
             stats.diff_union_cache_hits, 3,
@@ -2724,7 +2885,7 @@ mod tests {
         // The backward hop crosses the same spans (diffs are symmetric):
         // all four of 17→1's spans are now cached, (1,4) included.
         set.restore(&mut from1, 1, &mut scratch);
-        assert!(from1.state_eq(&set.checkpoints[1].snapshot));
+        assert!(from1.state_eq(set.golden.snapshot(1)));
         assert_eq!(set.stats().diff_union_cache_hits, 7);
     }
 

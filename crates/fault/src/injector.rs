@@ -326,14 +326,16 @@ impl WritebackHook for Injector {
     }
 }
 
-/// Counts eligible writebacks without injecting (used to size the population
-/// for plan sampling when exec-count profiling is unavailable).
+/// Counts eligible writebacks without injecting: the test oracle for the
+/// eligible counts campaigns derive from golden-run profiles.
+#[cfg(test)]
 #[derive(Debug)]
 pub(crate) struct EligibleCounter {
     eligible: Vec<bool>,
     pub(crate) count: u64,
 }
 
+#[cfg(test)]
 impl EligibleCounter {
     pub(crate) fn new(program: &Program, tags: &TagMap, protection: Protection) -> Self {
         let eligible = protection
@@ -343,6 +345,7 @@ impl EligibleCounter {
     }
 }
 
+#[cfg(test)]
 impl WritebackHook for EligibleCounter {
     #[inline]
     fn int_writeback(&mut self, instr_index: usize, value: u32) -> u32 {

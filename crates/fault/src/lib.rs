@@ -51,8 +51,9 @@
 //!
 //! By default ([`CampaignConfig::checkpointing`]) campaigns do not
 //! re-execute each trial from instruction zero. The golden run records up
-//! to 32 simulator snapshots together with their eligible-writeback
-//! counts; each trial then restores the latest checkpoint at or before its
+//! to 32 simulator snapshots together with their execution profiles (any
+//! regime's eligible-writeback count follows from a profile); each trial
+//! then restores the latest checkpoint at or before its
 //! earliest planned flip, executes only from there, and — once all of its
 //! flips have been applied — is spliced back onto the golden result as
 //! soon as its architectural state reconverges with a golden checkpoint.
@@ -61,9 +62,11 @@
 //! tracking, re-restoring the checkpoint a worker is already based on
 //! copies only the pages the previous trial touched. Trials are scheduled
 //! sorted by injection point so neighbors share warm checkpoints, and the
-//! program is lowered once per campaign to the simulator's predecoded
-//! micro-op form ([`certa_sim::DecodedProgram`]), shared by the golden run
-//! and every trial machine.
+//! trial program is lowered once to the simulator's predecoded micro-op
+//! form ([`certa_sim::DecodedProgram`]), shared by every trial machine.
+//! The golden run, its checkpoints and that lowering depend on the target
+//! alone: a [`GoldenSession`] builds them once per workload and any number
+//! of campaigns run on it ([`GoldenSession::campaign`]).
 //!
 //! The acceleration is **exact**: outcome, output, instruction count, and
 //! injected count of every trial are bit-identical to from-scratch
@@ -92,9 +95,8 @@ pub mod wire;
 
 pub use campaign::{
     golden_run, run_campaign, run_campaign_with_aot, CampaignConfig, CampaignResult,
-    CampaignSession, GoldenRun,
-    HarnessFailure, HarnessFaultInjection, HarnessStats, OutcomeCounts, RestoreStats, Target,
-    TrialChunk, TrialRecord, TrialResult, TrialStatus,
+    CampaignSession, GoldenRun, GoldenSession, HarnessFailure, HarnessFaultInjection, HarnessStats,
+    OutcomeCounts, RestoreStats, Target, TrialChunk, TrialRecord, TrialResult, TrialStatus,
 };
 pub use injector::{ErrorModel, FaultPlan, Injector};
 pub use regime::{FaultTarget, MemoryFaultPlan, Protection, ToleranceProfile};
