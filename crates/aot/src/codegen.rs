@@ -11,6 +11,17 @@
 //! register files, so the driving `Machine` observes precisely what the
 //! reference interpreter would have left.
 //!
+//! Each executor is generic over two flags. `PROFILE` bumps per-instruction
+//! execution counts. `ELIG` adds the eligibility window fault trials run
+//! under: a second per-block guard, `elig + ELIG[b] > elig_stop`, beside
+//! the instruction-count guard, and `elig += ELIG[b]` at block close, where
+//! `ELIG` is a runtime per-block table of the writebacks the hook counts —
+//! so one compiled module serves every protection regime and tag map, and
+//! hook-free runs (`ELIG = false`) pay nothing for it. The module exports
+//! each program's block boundaries, the same CFG its `BLOCK_AT` entry table
+//! comes from, so the runtime and the native code agree on where a flip
+//! lands.
+//!
 //! The emitted source targets the consumer crate's dependency graph: it
 //! names `certa_sim::aot::{AotCtx, AotExit, AotProgram}` and nothing
 //! else, and is meant to be written into `OUT_DIR` by a build script and
@@ -189,7 +200,7 @@ fn emit_program(out: &mut String, name: &str, id: &str, program: &Program) {
     );
     let _ = writeln!(
         out,
-        "fn run_{id}<const PROFILE: bool>(ctx: &mut AotCtx<'_>) -> AotExit {{"
+        "fn run_{id}<const PROFILE: bool, const ELIG: bool>(ctx: &mut AotCtx<'_>) -> AotExit {{"
     );
 
     // Entry table: block id at each block-start pc, u32::MAX elsewhere.
@@ -218,7 +229,15 @@ fn emit_program(out: &mut String, name: &str, id: &str, program: &Program) {
         "    let stop = ctx.stop();\n",
         "    let mut icount = ctx.icount();\n",
         "    let mut vp = ctx.vp();\n",
+        "    let elig_tab = ctx.elig_table();\n",
+        "    let elig_stop = ctx.elig_stop();\n",
+        "    let mut elig = 0u64;\n",
     ));
+    let _ = writeln!(
+        out,
+        "    if ELIG {{ assert_eq!(elig_tab.len(), {}, \"ELIG table does not match the block count\"); }}",
+        cfg.blocks.len()
+    );
     for i in 1..32 {
         let _ = writeln!(out, "    let mut r{i} = ctx.reg({i});");
     }
@@ -227,7 +246,7 @@ fn emit_program(out: &mut String, name: &str, id: &str, program: &Program) {
     }
     // Spill macro: control counters plus both register files, exactly once
     // per return path.
-    out.push_str("    macro_rules! spill_ {\n        ($pc:expr, $ic:expr, $vp:expr) => {{\n            ctx.set_state($pc, $ic, $vp);\n            ctx.put_regs([0u32");
+    out.push_str("    macro_rules! spill_ {\n        ($pc:expr, $ic:expr, $vp:expr) => {{\n            ctx.set_state($pc, $ic, $vp);\n            if ELIG { ctx.set_elig(elig); }\n            ctx.put_regs([0u32");
     for i in 1..32 {
         let _ = write!(out, ", r{i}");
     }
@@ -245,10 +264,12 @@ fn emit_program(out: &mut String, name: &str, id: &str, program: &Program) {
     out.push_str("        }\n    }\n}\n");
 
     let upper = id.to_uppercase();
+    let starts: Vec<String> = cfg.blocks.iter().map(|blk| blk.start.to_string()).collect();
     let _ = writeln!(
         out,
-        "\n/// Precompiled tier-4 program `{name}`.\npub static AOT_{upper}: AotProgram = AotProgram {{\n    name: {name:?},\n    code_len: {},\n    run: run_{id}::<false>,\n    run_profiled: run_{id}::<true>,\n}};",
-        code.len()
+        "\n/// Precompiled tier-4 program `{name}`.\npub static AOT_{upper}: AotProgram = AotProgram {{\n    name: {name:?},\n    code_len: {},\n    block_starts: &[{}],\n    run: run_{id}::<false, false>,\n    run_profiled: run_{id}::<true, false>,\n    run_windowed: run_{id}::<false, true>,\n}};",
+        code.len(),
+        starts.join(", ")
     );
 }
 
@@ -269,6 +290,12 @@ fn emit_block(
     let _ = writeln!(
         out,
         "                if icount + {len} > stop {{ spill_!({start}u64, icount, vp); return AotExit::Bounded; }}"
+    );
+    // Eligibility gate: the block's counted writebacks must fit in the
+    // hook's window, otherwise the interpreter runs the block with it.
+    let _ = writeln!(
+        out,
+        "                if ELIG && elig + u64::from(elig_tab[{b}]) > elig_stop {{ spill_!({start}u64, icount, vp); return AotExit::Bounded; }}"
     );
 
     // Number of value-producing retirements among start..at — the crash
@@ -429,7 +456,7 @@ fn emit_block(
                 target,
             } => {
                 assert!(last, "conditional branch mid-block at {at}");
-                emit_block_close(out, start, end, len, vp_before);
+                emit_block_close(out, b, start, end, len, vp_before);
                 let taken = bid_of[&target];
                 let cexp = cmp_expr(cond, &rv(rs), &rv(rt));
                 if let Some(&fall) = bid_of.get(&end) {
@@ -449,7 +476,7 @@ fn emit_block(
             }
             Instr::Jump { target } => {
                 assert!(last, "jump mid-block at {at}");
-                emit_block_close(out, start, end, len, vp_before);
+                emit_block_close(out, b, start, end, len, vp_before);
                 let _ = writeln!(out, "                bid = {};", bid_of[&target]);
                 terminated = true;
             }
@@ -458,13 +485,13 @@ fn emit_block(
                 // The return-address writeback is part of the block's
                 // retirement (hook-free: vp bumps, $ra gets pc+1).
                 let _ = writeln!(out, "                r31 = {}u32;", at + 1);
-                emit_block_close(out, start, end, len, vp_before + 1);
+                emit_block_close(out, b, start, end, len, vp_before + 1);
                 let _ = writeln!(out, "                bid = {};", bid_of[&target]);
                 terminated = true;
             }
             Instr::JumpReg { rs } => {
                 assert!(last, "indirect jump mid-block at {at}");
-                emit_block_close(out, start, end, len, vp_before);
+                emit_block_close(out, b, start, end, len, vp_before);
                 let _ = writeln!(
                     out,
                     "                let t__ = u64::from({});\n                match BLOCK_AT.get(t__ as usize) {{\n                    Some(&b) if b != u32::MAX => bid = b,\n                    _ => {{ spill_!(t__, icount, vp); return AotExit::Escape; }}\n                }}",
@@ -475,7 +502,7 @@ fn emit_block(
             Instr::Halt => {
                 assert!(last, "halt mid-block at {at}");
                 // icount includes the halt; pc rests on it.
-                emit_block_close(out, start, end, len, vp_before);
+                emit_block_close(out, b, start, end, len, vp_before);
                 let _ = writeln!(
                     out,
                     "                spill_!({}u64, icount, vp); return AotExit::Halted;",
@@ -491,7 +518,7 @@ fn emit_block(
     if !terminated {
         // Straight-line block: the next instruction is a leader (or the
         // end of the code array, which the machine's outer loop reports).
-        emit_block_close(out, start, end, len, vp_before);
+        emit_block_close(out, b, start, end, len, vp_before);
         if let Some(&fall) = bid_of.get(&end) {
             let _ = writeln!(out, "                bid = {fall};");
         } else {
@@ -506,10 +533,17 @@ fn emit_block(
 
 /// End-of-block bookkeeping: the whole block retired, so bump every
 /// per-instruction count once and advance the dynamic counters.
-fn emit_block_close(out: &mut String, start: usize, end: usize, len: usize, vp_total: u64) {
+fn emit_block_close(
+    out: &mut String,
+    b: usize,
+    start: usize,
+    end: usize,
+    len: usize,
+    vp_total: u64,
+) {
     let _ = writeln!(
         out,
-        "                if PROFILE {{ ctx.bump_counts({start}, {end}); }}\n                icount += {len};\n                vp += {vp_total};"
+        "                if PROFILE {{ ctx.bump_counts({start}, {end}); }}\n                icount += {len};\n                vp += {vp_total};\n                if ELIG {{ elig += u64::from(elig_tab[{b}]); }}"
     );
 }
 
@@ -522,8 +556,16 @@ mod tests {
     fn generates_executor_and_registry() {
         let p = progs::nested_loop_program();
         let src = generate_module(&[("nested-loop", &p)]);
-        assert!(src.contains("fn run_nested_loop<const PROFILE: bool>"));
+        assert!(src.contains("fn run_nested_loop<const PROFILE: bool, const ELIG: bool>"));
         assert!(src.contains("pub static AOT_NESTED_LOOP: AotProgram"));
+        assert!(src.contains("run_windowed: run_nested_loop::<false, true>"));
+        // The exported block boundaries are the CFG's.
+        let starts: Vec<String> = Cfg::build(&p)
+            .blocks
+            .iter()
+            .map(|blk| blk.start.to_string())
+            .collect();
+        assert!(src.contains(&format!("block_starts: &[{}]", starts.join(", "))));
         assert!(src.contains("\"nested-loop\" => Some(&AOT_NESTED_LOOP)"));
         assert!(src.contains(&format!("code_len: {}", p.code.len())));
         // The halt exit spills pc on the halt instruction.

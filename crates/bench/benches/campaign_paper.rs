@@ -10,6 +10,12 @@
 //! cache-hit counter reads zero — the MRU path can never silently rot
 //! into dead code.
 //!
+//! With the `aot` feature the checkpointed campaign runs its golden run
+//! *and its trials* on tier-4 native code, while the from-scratch
+//! campaign's trials stay on the interpreter (the reference path), so the
+//! on/off ratio measures checkpointing and the native tier together. The
+//! JSON records which tier each mode's trials ran on.
+//!
 //! `CERTA_PAPER_TRIALS` overrides the trial count (CI uses a short-trial
 //! variant to bound runtime; the acceptance numbers are recorded at the
 //! default 1024).
@@ -57,7 +63,7 @@ impl RingThresholdTarget {
 }
 
 /// The precompiled tier-4 region for the paper kernel when this bench is
-/// built with the `aot` feature; `None` otherwise (campaign golden runs
+/// built with the `aot` feature; `None` otherwise (golden runs and trials
 /// then execute on the interpreter, exactly as before tier 4 existed).
 fn paper_aot() -> Option<&'static AotProgram> {
     #[cfg(feature = "aot")]
@@ -116,8 +122,11 @@ fn bench_campaign_paper(c: &mut Criterion) {
     let tags = analyze(target.program());
     let trials = trial_count();
     let aot = paper_aot();
+    // From-scratch trials always run on the interpreter.
+    let tier_on = if aot.is_some() { "aot" } else { "interpreter" };
     println!(
-        "paper-scale campaign: {trials} trials (CERTA_PAPER_TRIALS overrides), golden runs {}",
+        "paper-scale campaign: {trials} trials (CERTA_PAPER_TRIALS overrides), golden runs and \
+         checkpointed trials {}",
         if aot.is_some() {
             "native (tier 4)"
         } else {
@@ -129,8 +138,8 @@ fn bench_campaign_paper(c: &mut Criterion) {
     // space: the full determinism contract is covered by the workspace
     // property suite; here we only want warm caches and a sanity check —
     // and, with the aot feature on, a live cross-tier check (the fast
-    // campaign's golden run is native, the slow one's interpreted; their
-    // trial records must still match bit for bit).
+    // campaign's golden run and trials are native, the slow one's
+    // interpreted; their trial records must still match bit for bit).
     let warm_cfg = CampaignConfig {
         trials: trials.min(64),
         ..campaign_config(true)
@@ -221,7 +230,9 @@ fn bench_campaign_paper(c: &mut Criterion) {
          \"speedup\":{:.3},\"trials_per_second\":{:.3},\"checkpoint_capture_bytes\":{},\
          \"restores_dirty_page\":{},\"restores_diff_hop\":{},\
          \"restores_diff_union_cache_hits\":{},\"restores_full_image\":{},\
-         \"aot_golden\":{},\"session_build_secs_interpreted\":{:.6},\
+         \"aot_golden\":{},\"trials_tier_checkpointing_on\":\"{}\",\
+         \"trials_tier_checkpointing_off\":\"interpreter\",\
+         \"session_build_secs_interpreted\":{:.6},\
          \"session_build_secs_native\":{:.6},\"golden_session_speedup\":{:.3}}}\n",
         golden_instructions,
         trials,
@@ -235,6 +246,7 @@ fn bench_campaign_paper(c: &mut Criterion) {
         rs.diff_union_cache_hits,
         rs.full_image,
         aot.is_some(),
+        tier_on,
         session_interpreted.as_secs_f64(),
         session_native.as_secs_f64(),
         golden_speedup

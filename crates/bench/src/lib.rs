@@ -38,7 +38,8 @@ pub mod aot_workloads {
 use std::fmt::Write as _;
 
 use certa_core::{analyze, analyze_with, AnalysisOptions, TagMap};
-use certa_fault::{golden_run, CampaignConfig, GoldenSession, Protection};
+use certa_fault::{CampaignConfig, GoldenSession, Protection};
+use certa_sim::AotProgram;
 use certa_workloads::{all_workloads, FidelityDetail, Workload};
 
 /// One measured point of a campaign sweep.
@@ -83,12 +84,30 @@ fn detail_scalar(d: &FidelityDetail) -> f64 {
     }
 }
 
+/// The workload's tier-4 native code (`aot` feature).
+#[cfg(feature = "aot")]
+fn native_code(workload: &dyn Workload) -> Option<&'static AotProgram> {
+    aot_workloads::lookup(workload.name())
+}
+
+/// Without the `aot` feature there is no native code.
+#[cfg(not(feature = "aot"))]
+fn native_code(_workload: &dyn Workload) -> Option<&'static AotProgram> {
+    None
+}
+
 /// The golden session every campaign point of `workload` shares: built
 /// with the default checkpoint layout, which is what [`measure_point`]'s
-/// configurations ask for.
+/// configurations ask for. With the `aot` feature the session holds the
+/// workload's tier-4 native code, so its golden run and every
+/// checkpointed trial run natively — bit-identical to the interpreter.
 #[must_use]
 pub fn golden_session(workload: &dyn Workload) -> GoldenSession<'_> {
-    GoldenSession::new(workload.as_target(), &CampaignConfig::default(), None)
+    GoldenSession::new(
+        workload.as_target(),
+        &CampaignConfig::default(),
+        native_code(workload),
+    )
 }
 
 /// Runs one campaign point on `golden` (see [`golden_session`]) and
@@ -277,17 +296,23 @@ pub struct Table3Row {
 }
 
 /// Regenerates Table 3: dynamic instruction counts and the percentage the
-/// static analysis tags as low-reliability.
+/// static analysis tags as low-reliability. Each workload's profile comes
+/// from one golden run without checkpoints, on native code under the
+/// `aot` feature.
 #[must_use]
 pub fn table3() -> Vec<Table3Row> {
+    let profile_only = CampaignConfig {
+        checkpointing: false,
+        ..CampaignConfig::default()
+    };
     let mut rows = Vec::new();
     for w in all_workloads() {
         let tags = analyze(w.program());
-        let golden = golden_run(w.as_target(), &tags, Protection::ControlOnly, u64::MAX / 2);
+        let golden = GoldenSession::new(w.as_target(), &profile_only, native_code(&*w));
         rows.push(Table3Row {
             app: w.name(),
-            instructions: golden.instructions,
-            low_reliability_pct: tags.dynamic_low_reliability_fraction(&golden.exec_counts)
+            instructions: golden.instructions(),
+            low_reliability_pct: tags.dynamic_low_reliability_fraction(golden.exec_counts())
                 * 100.0,
             static_low_reliability_pct: tags.stats().low_reliability_fraction() * 100.0,
         });

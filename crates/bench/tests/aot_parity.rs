@@ -6,14 +6,19 @@
 //! seeded random programs precompiled by `build.rs`, and across
 //! pause/resume and snapshot/restore landing at *every* instruction
 //! boundary of a nested-loop lap (satellite: mid-superblock and
-//! mid-AOT-region capture).
+//! mid-AOT-region capture). Fault injectors that run native code between
+//! their planned flips must see exactly the writebacks, and leave exactly
+//! the state, of the interpreter — machine by machine and campaign by
+//! campaign.
 #![cfg(feature = "aot")]
 
 use std::sync::Arc;
 
 use certa_aot::progs::{nested_loop_program, AOT_RANDOM_SEEDS, RANDOM_BUF_LEN};
-use certa_bench::aot_workloads;
-use certa_isa::{Program, Reg};
+use certa_bench::{aot_workloads, AsTarget};
+use certa_core::{analyze, TagMap};
+use certa_fault::{CampaignConfig, FaultPlan, FaultTarget, GoldenSession, Injector, Protection};
+use certa_isa::{Instr, Program, Reg};
 use certa_sim::{
     AotProgram, BoundedRun, DecodedProgram, Machine, MachineConfig, NoHook, Outcome, RunResult,
     SuperblockPolicy, WritebackHook, DATA_BASE,
@@ -174,9 +179,10 @@ fn random_programs_agree_across_all_four_tiers() {
     assert!(native_total > 1_000, "native tier barely executed");
 }
 
-/// A hook that must observe every writeback (here: counting them) forces
-/// [`Machine::run_aot`] off the native path entirely — the run equals the
-/// interpreter tiers bit-for-bit and retires zero native instructions.
+/// A hook that observes writebacks (here: counting them) but opens no
+/// native window keeps [`Machine::run_aot`] off the native path entirely
+/// — the run equals the interpreter tiers bit-for-bit and retires zero
+/// native instructions.
 #[test]
 fn hooked_runs_fall_back_to_the_interpreter() {
     #[derive(Default)]
@@ -403,4 +409,334 @@ fn native_golden_campaigns_match_interpreted_campaigns() {
     let rn = run_campaign_with_aot(&**w, &tags, &config, Some(aot));
     assert_eq!(ri.trials, rn.trials, "{}: trial records diverge", w.name());
     assert!(ri.trials.iter().any(|t| t.result().is_some()));
+}
+
+/// The eligible writebacks of one injector-free run, in order: each one's
+/// eligible index and static instruction.
+#[derive(Default)]
+struct EligibleLog {
+    eligible: Vec<bool>,
+    seen: u64,
+    ints: Vec<(u64, usize)>,
+    floats: Vec<(u64, usize)>,
+}
+
+/// Per-kind cap on logged writebacks (workload runs are millions long).
+const LOG_CAP: usize = 1 << 16;
+
+impl EligibleLog {
+    fn new(p: &Program, tags: &TagMap, protection: Protection) -> Self {
+        let mask = protection.eligibility_mask(p, tags);
+        EligibleLog {
+            eligible: (0..p.code.len())
+                .map(|i| mask.as_ref().is_none_or(|m| m[i]))
+                .collect(),
+            ..EligibleLog::default()
+        }
+    }
+
+    fn log(&mut self, float: bool, at: usize) {
+        if !self.eligible[at] {
+            return;
+        }
+        let list = if float {
+            &mut self.floats
+        } else {
+            &mut self.ints
+        };
+        if list.len() < LOG_CAP {
+            list.push((self.seen, at));
+        }
+        self.seen += 1;
+    }
+}
+
+impl WritebackHook for EligibleLog {
+    fn int_writeback(&mut self, at: usize, v: u32) -> u32 {
+        self.log(false, at);
+        v
+    }
+    fn float_writeback(&mut self, at: usize, v: f64) -> f64 {
+        self.log(true, at);
+        v
+    }
+}
+
+/// Up to three entries of `picks` — first, middle and last.
+fn spread(picks: &[(u64, usize)]) -> Vec<u64> {
+    let mut out: Vec<u64> = [0, picks.len() / 2, picks.len().saturating_sub(1)]
+        .iter()
+        .filter_map(|&k| picks.get(k).map(|&(e, _)| e))
+        .collect();
+    out.dedup();
+    out
+}
+
+/// Flip plans aimed at the seams of the windowed hand-off: flips on the
+/// first and the last instruction of a block, on a call's `$ra` (low bits,
+/// so returns land mid-block or wild), on float writebacks, on the last
+/// writebacks before the run ends (a crash, for the crashing seeds), and a
+/// dense run of consecutive flips.
+fn seam_plans(log: &EligibleLog, p: &Program, aot: &AotProgram) -> Vec<Vec<(u64, u8)>> {
+    let ints = &log.ints;
+    let pick = |f: &dyn Fn(usize) -> bool| -> Vec<(u64, usize)> {
+        ints.iter().copied().filter(|&(_, at)| f(at)).collect()
+    };
+    let firsts = pick(&|at| aot.block_range(at).start == at);
+    let lasts = pick(&|at| aot.block_range(at).end == at + 1);
+    let calls = pick(&|at| matches!(p.code[at], Instr::Call { .. }));
+    let mut plans: Vec<Vec<(u64, u8)>> = Vec::new();
+    for e in spread(&firsts) {
+        plans.push(vec![(e, 3)]);
+    }
+    for e in spread(&lasts) {
+        plans.push(vec![(e, 17)]);
+    }
+    for e in spread(&calls) {
+        plans.push(vec![(e, 0)]);
+        plans.push(vec![(e, 2)]);
+    }
+    for e in spread(&log.floats) {
+        plans.push(vec![(e, 52)]);
+        plans.push(vec![(e, 7)]);
+    }
+    for back in 1..=3 {
+        if let Some(e) = log.seen.checked_sub(back) {
+            plans.push(vec![(e, 1)]);
+        }
+    }
+    let mid = log.seen / 2;
+    plans.push(
+        (mid..(mid + 8).min(log.seen))
+            .map(|e| (e, (e % 32) as u8))
+            .collect(),
+    );
+    let all: Vec<(u64, u8)> = plans.iter().flatten().copied().collect();
+    plans.push(all);
+    plans
+}
+
+/// The observables of an injected run: everything a campaign trial reads.
+#[derive(Debug, PartialEq)]
+struct Injected {
+    fingerprint: Fingerprint,
+    injected: u32,
+    eligible_seen: u64,
+}
+
+/// Runs `p` with an injector for `plan` on the interpreter, on windowed
+/// native code, and on windowed native code in uneven slices; asserts all
+/// three agree and returns the straight native run's (native, total)
+/// instruction counts.
+#[allow(clippy::too_many_arguments)]
+fn windowed_trial(
+    label: &str,
+    p: &Program,
+    aot: &AotProgram,
+    tags: &TagMap,
+    protection: Protection,
+    plan: &[(u64, u8)],
+    cfg: &MachineConfig,
+    prepare: &dyn Fn(&mut Machine<'_>),
+    probe: u32,
+) -> (u64, u64) {
+    let decoded = Arc::new(DecodedProgram::new(p));
+    let injector = || Injector::new(p, tags, protection, FaultPlan::from_pairs(plan));
+    let machine = || {
+        let mut m = Machine::try_new_with_decoded(p, &decoded, cfg).expect("valid config");
+        prepare(&mut m);
+        m
+    };
+    let observe = |m: &Machine<'_>, r: RunResult, inj: &Injector| Injected {
+        fingerprint: fingerprint(m, r, probe),
+        injected: inj.injected(),
+        eligible_seen: inj.eligible_seen(),
+    };
+
+    let (mut mi, mut ii) = (machine(), injector());
+    let ri = mi.run(&mut ii);
+    let expected = observe(&mi, ri, &ii);
+    assert_eq!(mi.aot_instructions(), 0);
+
+    let (mut mn, mut inn) = (machine(), injector().with_native(aot));
+    let rn = mn.run_aot(&mut inn, aot);
+    let native = mn.aot_instructions();
+    let total = rn.instructions;
+    assert_eq!(observe(&mn, rn, &inn), expected, "{label}: plan {plan:?}");
+
+    // Slices land pauses mid-block: every slice after the first resumes
+    // on a hand-off.
+    let (mut ms, mut is) = (machine(), injector().with_native(aot));
+    let slice = (total / 5).max(1) | 1;
+    let mut bound = 0u64;
+    let rs = loop {
+        bound += slice;
+        match ms.run_until_aot(&mut is, aot, bound) {
+            BoundedRun::Finished(r) => break r,
+            BoundedRun::Paused => assert_eq!(ms.instructions(), bound, "{label}: pause"),
+        }
+    };
+    assert_eq!(
+        observe(&ms, rs, &is),
+        expected,
+        "{label}: sliced, plan {plan:?}"
+    );
+    (native, total)
+}
+
+/// Windowed injectors on every precompiled random program and on `art`
+/// (the float workload): flips at the hand-off seams (see [`seam_plans`])
+/// under two regimes leave registers, memory, the run result, the
+/// injected count and the eligible count exactly as the interpreter
+/// does, and sparse plans still retire most instructions natively.
+#[test]
+fn windowed_injectors_match_the_interpreter() {
+    let cfg = MachineConfig {
+        mem_size: 1 << 20,
+        max_instructions: WATCHDOG,
+        profile: false,
+    };
+    let (mut sparse_native, mut sparse_total, mut plans_run) = (0u64, 0u64, 0usize);
+    for seed in AOT_RANDOM_SEEDS {
+        let p = certa_aot::progs::random_program(seed);
+        let aot = aot_workloads::lookup(&format!("random_{seed}")).expect("seed is precompiled");
+        let tags = analyze(&p);
+        for protection in [Protection::None, Protection::ControlOnly] {
+            let mut log = EligibleLog::new(&p, &tags, protection);
+            let mut m = Machine::new(&p, &cfg);
+            m.run(&mut log);
+            for plan in seam_plans(&log, &p, aot) {
+                let label = format!("random_{seed} {protection:?}");
+                let (native, total) = windowed_trial(
+                    &label,
+                    &p,
+                    aot,
+                    &tags,
+                    protection,
+                    &plan,
+                    &cfg,
+                    &|_| {},
+                    RANDOM_BUF_LEN,
+                );
+                plans_run += 1;
+                if plan.len() == 1 {
+                    sparse_native += native;
+                    sparse_total += total;
+                }
+            }
+        }
+    }
+
+    let workloads = all_workloads();
+    let art = workloads
+        .iter()
+        .find(|w| w.name() == "art")
+        .expect("art is a workload");
+    let aot = aot_workloads::lookup("art").expect("art is precompiled");
+    let tags = analyze(art.program());
+    let art_cfg = MachineConfig {
+        mem_size: art.mem_size(),
+        max_instructions: u64::MAX / 2,
+        profile: false,
+    };
+    for protection in [Protection::None, Protection::ControlOnly] {
+        let mut log = EligibleLog::new(art.program(), &tags, protection);
+        let mut m = Machine::new(art.program(), &art_cfg);
+        art.prepare(&mut m);
+        m.run(&mut log);
+        assert!(!log.floats.is_empty(), "art retires float writebacks");
+        for plan in seam_plans(&log, art.program(), aot) {
+            let label = format!("art {protection:?}");
+            let prepare = |m: &mut Machine<'_>| art.prepare(m);
+            let (native, total) = windowed_trial(
+                &label,
+                art.program(),
+                aot,
+                &tags,
+                protection,
+                &plan,
+                &art_cfg,
+                &prepare,
+                4096,
+            );
+            plans_run += 1;
+            if plan.len() == 1 {
+                sparse_native += native;
+                sparse_total += total;
+            }
+        }
+    }
+    assert!(plans_run > 100, "only {plans_run} plans exercised");
+    assert!(
+        sparse_native * 10 > sparse_total * 7,
+        "sparse plans retired only {sparse_native} of {sparse_total} instructions natively"
+    );
+}
+
+/// The campaign seam: on every workload, regime and fault target, at one
+/// error and at the workload's highest Table 2 or figure level, a session
+/// holding native code (native checkpointed trials) produces the records
+/// of an interpreted session and of from-scratch trials, byte for byte.
+#[test]
+fn native_trials_match_interpreted_trials() {
+    let figures = certa_bench::FigureSpec::all();
+    for w in all_workloads() {
+        let aot = aot_workloads::lookup(w.name()).expect("workload is precompiled");
+        let tags = analyze(w.program());
+        let scratch_layout = CampaignConfig {
+            checkpointing: false,
+            ..CampaignConfig::default()
+        };
+        let native = GoldenSession::new(w.as_target(), &CampaignConfig::default(), Some(aot));
+        let interpreted = GoldenSession::new(w.as_target(), &CampaignConfig::default(), None);
+        let scratch = GoldenSession::new(w.as_target(), &scratch_layout, None);
+        let highest = certa_bench::table2_error_levels(w.name())
+            .into_iter()
+            .chain(
+                figures
+                    .iter()
+                    .filter(|f| f.app == w.name())
+                    .flat_map(|f| f.errors.iter().copied()),
+            )
+            .max()
+            .expect("every workload has a Table 2 level");
+        for protection in [
+            Protection::None,
+            Protection::ControlOnly,
+            Protection::DataOnly,
+            Protection::Full,
+        ] {
+            for target in [FaultTarget::Registers, FaultTarget::MemoryCells] {
+                for errors in [1, highest] {
+                    let config = CampaignConfig {
+                        trials: 4,
+                        errors,
+                        protection,
+                        target,
+                        seed: 0x5EED ^ errors,
+                        threads: 2,
+                        ..CampaignConfig::default()
+                    };
+                    let label = format!("{} {protection:?} {target:?} e{errors}", w.name());
+                    let n = native.campaign(&tags, &config).run_all();
+                    let i = interpreted.campaign(&tags, &config).run_all();
+                    let s = scratch
+                        .campaign(
+                            &tags,
+                            &CampaignConfig {
+                                checkpointing: false,
+                                ..config.clone()
+                            },
+                        )
+                        .run_all();
+                    assert_eq!(n, i, "{label}: native vs interpreted");
+                    assert_eq!(n, s, "{label}: native vs from scratch");
+                    assert!(
+                        n.iter().all(|t| t.result().is_some()),
+                        "{label}: harness error"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -49,6 +49,15 @@
 //!    [`GoldenSession`] builds them once and any number of campaigns —
 //!    every regime, fault target, error level, seed and tag map — run on
 //!    them, each trial machine sharing the one lowering.
+//! 6. **Runs trials natively** when the golden session holds the target's
+//!    tier-4 [`AotProgram`]: a register trial's injector lets native code
+//!    retire the eligible writebacks before its next planned flip, the
+//!    interpreter runs the block holding the flip, and the trial goes
+//!    native again after its last flip; memory-cell trials run natively
+//!    throughout. One eligibility table per campaign
+//!    feeds the injectors, every checkpoint's `eligible_seen`, the
+//!    eligible population and the native per-block counts.
+//!    From-scratch trials stay on the interpreter as the reference.
 //!
 //! **Determinism contract**: checkpointed trials are bit-identical —
 //! outcome, output, instruction count, and injected count — to running the
@@ -91,7 +100,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::injector::{ErrorModel, FaultPlan, Injector};
+use crate::injector::{Eligibility, ErrorModel, FaultPlan, Injector};
 use crate::regime::{FaultTarget, MemoryFaultPlan, Protection};
 
 /// Hard cap on golden-run checkpoints, regardless of memory budget.
@@ -652,9 +661,9 @@ pub fn golden_run(
     // path so the two can never diverge.
     let decoded = Arc::new(DecodedProgram::new(target.program()));
     let trace = trace_golden(target, &decoded, watchdog, 0, u64::MAX, None);
-    let units = eligible_units(target.program(), tags, protection);
+    let eligibility = Eligibility::new(target.program(), tags, protection, None);
     GoldenRun {
-        eligible_population: eligible_from_counts(&units, &trace.exec_counts),
+        eligible_population: eligibility.count(&trace.exec_counts),
         output: trace.output,
         instructions: trace.instructions,
         exec_counts: trace.exec_counts,
@@ -664,7 +673,7 @@ pub fn golden_run(
 /// A golden-run snapshot plus the per-instruction execution counts up to
 /// it. The eligible writebacks it had seen under any protection regime —
 /// the unit the checkpointed scheduler fast-forwards register trials to —
-/// follow from the counts (see [`eligible_units`]), so one checkpoint
+/// follow from the counts (see [`Eligibility::count`]), so one checkpoint
 /// serves every regime.
 struct Checkpoint {
     snapshot: Snapshot,
@@ -767,13 +776,12 @@ struct CheckpointSet {
 }
 
 impl CheckpointSet {
-    /// The campaign view of `golden` under the eligible-writeback
-    /// indicator `units` (see [`eligible_units`]).
-    fn new(golden: Arc<GoldenCheckpoints>, units: &[u64]) -> Self {
+    /// The campaign view of `golden` under `eligibility`.
+    fn new(golden: Arc<GoldenCheckpoints>, eligibility: &Eligibility) -> Self {
         let eligible_seen = golden
             .checkpoints
             .iter()
-            .map(|c| eligible_from_counts(units, &c.exec_counts))
+            .map(|c| eligibility.count(&c.exec_counts))
             .collect();
         CheckpointSet {
             golden,
@@ -980,30 +988,6 @@ impl CheckpointSet {
     }
 }
 
-/// Per-instruction indicator of the eligible-writeback population: `1`
-/// where instruction `i` produces a value and `protection`'s mask admits
-/// it, else `0`. Dotting this with a profiled run's execution counts
-/// yields exactly what a writeback hook counting eligible instructions
-/// would see over the same run — every value-producing instruction
-/// performs one hook-visible writeback per execution — which is how a
-/// hook-free golden run (on either tier) yields the eligible population
-/// and every checkpoint's `eligible_seen` for any regime.
-fn eligible_units(program: &Program, tags: &TagMap, protection: Protection) -> Vec<u64> {
-    let mask = protection.eligibility_mask(program, tags);
-    program
-        .code
-        .iter()
-        .enumerate()
-        .map(|(i, instr)| u64::from(instr.def().is_some() && mask.as_ref().is_none_or(|m| m[i])))
-        .collect()
-}
-
-/// The eligible-writeback count implied by a profile (see
-/// [`eligible_units`]).
-fn eligible_from_counts(units: &[u64], exec_counts: &[u64]) -> u64 {
-    units.iter().zip(exec_counts).map(|(u, c)| u * c).sum()
-}
-
 /// What a profiled, hook-free golden run observes: nothing here depends
 /// on a protection regime or a tag map.
 struct GoldenTrace {
@@ -1054,11 +1038,7 @@ fn trace_golden(
 
     let result = loop {
         let next_at = machine.instructions().saturating_add(stride);
-        let bounded = match aot {
-            Some(aot) => machine.run_until_aot(&mut NoHook, aot, next_at),
-            None => machine.run_until(&mut NoHook, next_at),
-        };
-        match bounded {
+        match run_until(&mut machine, &mut NoHook, aot, next_at) {
             BoundedRun::Finished(result) => break result,
             BoundedRun::Paused => {
                 if checkpoints.len() >= max_snapshots {
@@ -1117,6 +1097,9 @@ pub struct GoldenSession<'a> {
     /// `None` when built without checkpointing.
     checkpoints: Option<Arc<GoldenCheckpoints>>,
     trial_decoded: Arc<DecodedProgram>,
+    /// Native code for the target's program, when supplied: checkpointed
+    /// trials run on it.
+    aot: Option<AotProgram>,
 }
 
 impl<'a> GoldenSession<'a> {
@@ -1126,7 +1109,8 @@ impl<'a> GoldenSession<'a> {
     /// capturing checkpoints with `config`'s budget and stride when
     /// [`CampaignConfig::checkpointing`] is on, and lowers the trial
     /// program seeded with the golden profile. No other field of `config`
-    /// is read.
+    /// is read. The session keeps `aot`: checkpointed trials of its
+    /// campaigns run natively too (see [`CampaignSession::new_with_aot`]).
     ///
     /// # Panics
     ///
@@ -1172,6 +1156,7 @@ impl<'a> GoldenSession<'a> {
             exec_counts: trace.exec_counts,
             checkpoints,
             trial_decoded,
+            aot: aot.copied(),
         }
     }
 
@@ -1188,11 +1173,13 @@ impl<'a> GoldenSession<'a> {
         &self.exec_counts
     }
 
-    /// Prepares one campaign on this golden run: the eligible population
-    /// and every checkpoint's eligible count under `config.protection`
-    /// (profile dot products — no execution), the trial watchdog, and the
-    /// pre-sampled plans. Restore and harness counters start at zero and
-    /// belong to the returned session alone. With `checkpointing: false`
+    /// Prepares one campaign on this golden run: the eligibility table of
+    /// `config.protection` (per instruction, and per native block when the
+    /// session has native code), the eligible population and every
+    /// checkpoint's eligible count (profile dot products with that table
+    /// — no execution), the trial watchdog, and the pre-sampled plans.
+    /// Restore and harness counters start at zero and belong to the
+    /// returned session alone. With `checkpointing: false`
     /// the campaign ignores any checkpoints and reports zero capture
     /// bytes.
     ///
@@ -1212,7 +1199,12 @@ impl<'a> GoldenSession<'a> {
         );
         let started = Instant::now();
         let program = self.target.program();
-        let units = eligible_units(program, tags, config.protection);
+        let eligibility = Arc::new(Eligibility::new(
+            program,
+            tags,
+            config.protection,
+            self.aot.as_ref(),
+        ));
         let checkpoints = config.checkpointing.then(|| {
             let golden = self
                 .checkpoints
@@ -1223,12 +1215,12 @@ impl<'a> GoldenSession<'a> {
                 (config.checkpoint_budget_bytes, config.checkpoint_stride),
                 "campaign checkpoint budget/stride must match the golden session's"
             );
-            CheckpointSet::new(Arc::clone(golden), &units)
+            CheckpointSet::new(Arc::clone(golden), &eligibility)
         });
         let golden = GoldenRun {
             output: self.output.clone(),
             instructions: self.instructions,
-            eligible_population: eligible_from_counts(&units, &self.exec_counts),
+            eligible_population: eligibility.count(&self.exec_counts),
             exec_counts: self.exec_counts.clone(),
         };
         let watchdog = golden
@@ -1273,13 +1265,14 @@ impl<'a> GoldenSession<'a> {
 
         CampaignSession {
             target: self.target,
-            tags,
             config: config.clone(),
             threads,
             run_slice: derive_run_slice(golden.instructions),
             golden,
             checkpoints,
             trial_decoded: Arc::clone(&self.trial_decoded),
+            aot: self.aot,
+            eligibility,
             machine_config,
             plans,
             counters: HarnessCounters::default(),
@@ -1322,21 +1315,36 @@ enum TrialExec {
     TimedOut,
 }
 
+/// [`Machine::run_until`], on `aot`'s native regions when supplied
+/// ([`Machine::run_until_aot`]) — bit-identical either way.
+fn run_until<H: WritebackHook>(
+    machine: &mut Machine<'_>,
+    hook: &mut H,
+    aot: Option<&AotProgram>,
+    target: u64,
+) -> BoundedRun {
+    match aot {
+        Some(aot) => machine.run_until_aot(hook, aot, target),
+        None => machine.run_until(hook, target),
+    }
+}
+
 /// Runs `machine` to completion in `slice`-instruction slices (see
-/// [`derive_run_slice`]), checking the wall-clock `deadline` between
-/// slices. `None` means the deadline passed with the run still going — a
-/// harness failure, distinct from the instruction-budget watchdog (which
-/// finishes the run with [`Outcome::InfiniteRun`], an experimental
-/// outcome).
+/// [`derive_run_slice`]), on `aot` when supplied, checking the wall-clock
+/// `deadline` between slices. `None` means the deadline passed with the
+/// run still going — a harness failure, distinct from the
+/// instruction-budget watchdog (which finishes the run with
+/// [`Outcome::InfiniteRun`], an experimental outcome).
 fn run_sliced<H: WritebackHook>(
     machine: &mut Machine<'_>,
     hook: &mut H,
+    aot: Option<&AotProgram>,
     deadline: Instant,
     slice: u64,
 ) -> Option<RunResult> {
     loop {
         let bound = machine.instructions().saturating_add(slice.max(1));
-        match machine.run_until(hook, bound) {
+        match run_until(machine, hook, aot, bound) {
             BoundedRun::Finished(result) => return Some(result),
             BoundedRun::Paused => {
                 if Instant::now() >= deadline {
@@ -1348,18 +1356,18 @@ fn run_sliced<H: WritebackHook>(
 }
 
 /// Applies a memory-cell plan's flips at their instruction boundaries:
-/// runs to each boundary, flips the planned data-segment bit through the
-/// copy-on-write store, and counts the flips that landed. Returns the
-/// run's result if it finished before (or at) some boundary, `Ok(None)`
-/// if all boundaries were passed with the run still going, and
-/// `Err(TrialExec::TimedOut)` on a blown deadline.
+/// runs to each boundary (on `aot` when supplied), flips the planned
+/// data-segment bit through the copy-on-write store, and counts the flips
+/// that landed. Returns the run's result if it finished before (or at)
+/// some boundary, `Ok(None)` if all boundaries were passed with the run
+/// still going, and `Err(TrialExec::TimedOut)` on a blown deadline.
 fn apply_memory_flips(
     machine: &mut Machine<'_>,
     plan: &MemoryFaultPlan,
+    aot: Option<&AotProgram>,
     injected: &mut u32,
     deadline: Instant,
 ) -> Result<Option<RunResult>, TrialExec> {
-    let mut hook = NoHook;
     for &(at, offset, bit) in plan.triples() {
         if at <= machine.instructions() {
             // Resumed past this boundary (cannot happen from the campaign
@@ -1368,7 +1376,7 @@ fn apply_memory_flips(
             // hook attached late would miss it.
             continue;
         }
-        match machine.run_until(&mut hook, at) {
+        match run_until(machine, &mut NoHook, aot, at) {
             BoundedRun::Finished(result) => return Ok(Some(result)),
             BoundedRun::Paused => {
                 if Instant::now() >= deadline {
@@ -1387,15 +1395,15 @@ fn apply_memory_flips(
 }
 
 /// Runs one trial the slow way: fresh machine, staged input, execute from
-/// instruction zero. This is the reference path (`checkpointing: false`)
-/// the accelerated path must match bit-for-bit.
+/// instruction zero, always on the interpreter. This is the reference
+/// path (`checkpointing: false`) the accelerated path — checkpoints and,
+/// when the session has native code, tier 4 — must match bit-for-bit.
 fn run_trial_scratch(
     session: &CampaignSession<'_>,
     plan: &TrialPlan,
     deadline: Instant,
 ) -> TrialExec {
     let target = session.target;
-    let config = &session.config;
     let program = target.program();
     let mut machine =
         Machine::try_new_with_decoded(program, &session.trial_decoded, &session.machine_config)
@@ -1403,32 +1411,33 @@ fn run_trial_scratch(
     target.prepare(&mut machine);
     let (result, injected) = match plan {
         TrialPlan::Reg(plan) => {
-            let mut injector = Injector::with_model(
-                program,
-                session.tags,
-                config.protection,
-                plan.clone(),
-                config.model,
-            );
-            let Some(result) =
-                run_sliced(&mut machine, &mut injector, deadline, session.run_slice)
-            else {
+            let mut injector = session.injector(plan);
+            let Some(result) = run_sliced(
+                &mut machine,
+                &mut injector,
+                None,
+                deadline,
+                session.run_slice,
+            ) else {
                 return TrialExec::TimedOut;
             };
             (result, injector.injected())
         }
         TrialPlan::Mem(plan) => {
             let mut injected = 0u32;
-            let early = match apply_memory_flips(&mut machine, plan, &mut injected, deadline) {
+            let early = match apply_memory_flips(&mut machine, plan, None, &mut injected, deadline)
+            {
                 Ok(early) => early,
                 Err(timed_out) => return timed_out,
             };
             let result = match early {
                 Some(result) => result,
-                None => match run_sliced(&mut machine, &mut NoHook, deadline, session.run_slice) {
-                    Some(result) => result,
-                    None => return TrialExec::TimedOut,
-                },
+                None => {
+                    match run_sliced(&mut machine, &mut NoHook, None, deadline, session.run_slice) {
+                        Some(result) => result,
+                        None => return TrialExec::TimedOut,
+                    }
+                }
             };
             (result, injected)
         }
@@ -1473,6 +1482,12 @@ const MAX_PROBE_GAP: usize = 8;
 /// counts in place of eligible-writeback counts: run to each flip
 /// boundary, flip the planned bit through the copy-on-write store, then
 /// probe for reconvergence past the last boundary.
+///
+/// When the session has native code, every segment runs on tier 4
+/// ([`Machine::run_until_aot`]): register trials natively up to each
+/// planned flip's block, which the interpreter runs with the injector,
+/// and natively again after the last flip; memory trials natively
+/// throughout. Bit-identical to the interpreter either way.
 fn run_trial_checkpointed(
     session: &CampaignSession<'_>,
     machine: &mut Machine<'_>,
@@ -1481,7 +1496,7 @@ fn run_trial_checkpointed(
     deadline: Instant,
 ) -> TrialExec {
     let target = session.target;
-    let config = &session.config;
+    let aot = session.aot.as_ref();
     let golden = &session.golden;
     let checkpoint_set = session
         .checkpoints
@@ -1516,14 +1531,9 @@ fn run_trial_checkpointed(
             planned = plan.len() as u32;
             let latest = plan.latest_injection().expect("plan is non-empty");
             injector = Some(
-                Injector::with_model(
-                    target.program(),
-                    session.tags,
-                    config.protection,
-                    plan.clone(),
-                    config.model,
-                )
-                .resume_from(checkpoint_set.eligible_seen[cp_index]),
+                session
+                    .injector(plan)
+                    .resume_from(checkpoint_set.eligible_seen[cp_index]),
             );
             // First checkpoint whose eligible count is past every planned
             // flip (on the golden path; a control-divergent trial cannot
@@ -1538,7 +1548,7 @@ fn run_trial_checkpointed(
         TrialPlan::Mem(plan) => {
             planned = plan.len() as u32;
             let latest = plan.latest_injection().expect("plan is non-empty");
-            match apply_memory_flips(machine, plan, &mut mem_injected, deadline) {
+            match apply_memory_flips(machine, plan, aot, &mut mem_injected, deadline) {
                 Ok(None) => Stage1::Probing {
                     next_index: checkpoints
                         .partition_point(|c| c.snapshot.instructions() <= latest),
@@ -1559,14 +1569,14 @@ fn run_trial_checkpointed(
         Stage1::Finished(result) => result,
         Stage1::Probing { mut next_index } => {
             let mut probe_gap = 1usize;
-            let mut mem_hook = NoHook;
             loop {
                 let Some(next_cp) = checkpoints.get(next_index) else {
                     // Past the last probe point: run out the remainder in
                     // deadline-checked slices.
+                    let slice = session.run_slice;
                     let finished = match &mut injector {
-                        Some(inj) => run_sliced(machine, inj, deadline, session.run_slice),
-                        None => run_sliced(machine, &mut mem_hook, deadline, session.run_slice),
+                        Some(inj) => run_sliced(machine, inj, aot, deadline, slice),
+                        None => run_sliced(machine, &mut NoHook, aot, deadline, slice),
                     };
                     match finished {
                         Some(result) => break result,
@@ -1575,8 +1585,8 @@ fn run_trial_checkpointed(
                 };
                 let bound = next_cp.snapshot.instructions();
                 let paused = match &mut injector {
-                    Some(inj) => machine.run_until(inj, bound),
-                    None => machine.run_until(&mut mem_hook, bound),
+                    Some(inj) => run_until(machine, inj, aot, bound),
+                    None => run_until(machine, &mut NoHook, aot, bound),
                 };
                 match paused {
                     BoundedRun::Finished(result) => break result,
@@ -1771,12 +1781,10 @@ pub fn run_campaign(target: &dyn Target, tags: &TagMap, config: &CampaignConfig)
     session.finish(trials)
 }
 
-/// [`run_campaign`] with the golden run (and checkpoint capture)
-/// executed on tier-4 native code (see
-/// [`CampaignSession::new_with_aot`]). Fault trials stay on the
-/// interpreter — hooks observe every writeback there — so results are
-/// bit-identical to [`run_campaign`]; only the golden-run wall clock
-/// changes.
+/// [`run_campaign`] with the golden run, checkpoint capture and the
+/// checkpointed fault trials executed on tier-4 native code (see
+/// [`CampaignSession::new_with_aot`]). Results are bit-identical to
+/// [`run_campaign`]; only the wall clock changes.
 ///
 /// # Panics
 ///
@@ -1827,7 +1835,6 @@ pub struct TrialChunk {
 /// double-counting.
 pub struct CampaignSession<'a> {
     target: &'a dyn Target,
-    tags: &'a TagMap,
     config: CampaignConfig,
     /// Resolved worker-thread count (`config.threads` with 0 = per-core).
     threads: usize,
@@ -1837,6 +1844,11 @@ pub struct CampaignSession<'a> {
     golden: GoldenRun,
     checkpoints: Option<CheckpointSet>,
     trial_decoded: Arc<DecodedProgram>,
+    /// Native code checkpointed trials run on (see [`GoldenSession`]).
+    aot: Option<AotProgram>,
+    /// The regime's eligibility table every injector of this campaign
+    /// shares.
+    eligibility: Arc<Eligibility>,
     machine_config: MachineConfig,
     plans: Vec<TrialPlan>,
     counters: HarnessCounters,
@@ -1856,13 +1868,20 @@ impl<'a> CampaignSession<'a> {
         Self::new_with_aot(target, tags, config, None)
     }
 
-    /// [`CampaignSession::new`], with the golden run executed on tier-4
-    /// native regions when `aot` is supplied (it must have been generated
-    /// from `target`'s program). Checkpoints, eligible-writeback counts,
-    /// and the seeded trial lowering are bit-identical to the interpreted
-    /// golden run — the native tier matches the reference on every
-    /// observable, including profile counts — so sessions built either
-    /// way are interchangeable (same [`CampaignSession::fingerprint`]).
+    /// [`CampaignSession::new`], with the golden run and checkpoint
+    /// capture executed on tier-4 native regions when `aot` is supplied
+    /// (it must have been generated from `target`'s program), and so are
+    /// checkpointed trials: register trials run natively between planned
+    /// flips — an injector lets native code retire the eligible writebacks
+    /// before its next flip, and the interpreter runs the block holding it
+    /// — and memory-cell trials run natively throughout. Checkpoints,
+    /// eligible-writeback counts, the seeded trial lowering and every
+    /// trial record are bit-identical to the interpreted session — the
+    /// native tier matches the reference on every observable, including
+    /// profile counts and the writebacks a hook sees — so sessions built
+    /// either way are interchangeable (same
+    /// [`CampaignSession::fingerprint`]). From-scratch trials
+    /// (`checkpointing: false`) stay on the interpreter as the reference.
     ///
     /// # Panics
     ///
@@ -1886,6 +1905,16 @@ impl<'a> CampaignSession<'a> {
     #[must_use]
     pub fn golden(&self) -> &GoldenRun {
         &self.golden
+    }
+
+    /// A fresh injector for `plan` over this campaign's shared
+    /// eligibility table.
+    fn injector(&self, plan: &FaultPlan) -> Injector {
+        Injector::shared(
+            Arc::clone(&self.eligibility),
+            plan.clone(),
+            self.config.model,
+        )
     }
 
     /// The campaign configuration this session was built from.
@@ -2534,8 +2563,13 @@ mod tests {
         let trace = trace_golden(t, decoded, 1_000_000, 256 << 20, stride, None);
         let golden =
             GoldenCheckpoints::new(trace.checkpoints, trace.capture_bytes, 256 << 20, stride);
-        let units = eligible_units(&t.program, &analyze(&t.program), Protection::ControlOnly);
-        CheckpointSet::new(Arc::new(golden), &units)
+        let eligibility = Eligibility::new(
+            &t.program,
+            &analyze(&t.program),
+            Protection::ControlOnly,
+            None,
+        );
+        CheckpointSet::new(Arc::new(golden), &eligibility)
     }
 
     /// Checkpoint-hopping restores (forward and backward, through the

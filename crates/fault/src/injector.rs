@@ -1,9 +1,11 @@
 //! The bit-flip injector: a [`WritebackHook`] that tampers with sampled
 //! dynamic executions of eligible instructions.
 
+use std::sync::Arc;
+
 use certa_core::TagMap;
 use certa_isa::Program;
-use certa_sim::WritebackHook;
+use certa_sim::{AotProgram, NativeWindow, WritebackHook};
 use rand::seq::index::sample as index_sample;
 use rand::Rng;
 
@@ -177,15 +179,67 @@ impl FaultPlan {
     }
 }
 
+/// Where one protection regime's eligible writebacks fall in a program:
+/// per instruction, and per block of the program's native code when it
+/// has some. A campaign builds this once and shares it by `Arc`, so the
+/// injector's mask, every checkpoint's `eligible_seen`, the eligible
+/// population and the native per-block counts are one table and cannot
+/// disagree about where a flip lands.
+#[derive(Debug)]
+pub(crate) struct Eligibility {
+    /// `writeback[i]`: instruction `i` produces a value (one hook-visible
+    /// writeback per execution) and the regime's mask admits it.
+    writeback: Vec<bool>,
+    /// Eligible writebacks per native block ([`AotProgram::block_counts`]);
+    /// `None` without native code.
+    per_block: Option<Vec<u32>>,
+}
+
+impl Eligibility {
+    pub(crate) fn new(
+        program: &Program,
+        tags: &TagMap,
+        protection: Protection,
+        aot: Option<&AotProgram>,
+    ) -> Self {
+        let mask = protection.eligibility_mask(program, tags);
+        let writeback: Vec<bool> = program
+            .code
+            .iter()
+            .enumerate()
+            .map(|(i, instr)| instr.def().is_some() && mask.as_ref().is_none_or(|m| m[i]))
+            .collect();
+        let per_block = aot.map(|aot| aot.block_counts(&writeback));
+        Eligibility {
+            writeback,
+            per_block,
+        }
+    }
+
+    /// The eligible writebacks of a run with these per-instruction
+    /// execution counts: what a hook counting them would have seen.
+    pub(crate) fn count(&self, exec_counts: &[u64]) -> u64 {
+        self.writeback
+            .iter()
+            .zip(exec_counts)
+            .map(|(&e, &c)| u64::from(e) * c)
+            .sum()
+    }
+}
+
 /// The [`WritebackHook`] that applies a [`FaultPlan`] during simulation.
 ///
 /// Counts eligible writebacks as they happen; when the count matches a
 /// planned injection point the destination value has one bit flipped before
 /// it is written to the register file. Corruption then propagates naturally
 /// through dependent instructions, as in the paper.
+///
+/// An injector with native blocks ([`Injector::with_native`]) lets AOT
+/// native code retire the eligible writebacks up to its next planned flip
+/// unseen, and every writeback after its last one.
 #[derive(Debug)]
 pub struct Injector {
-    eligible: EligibleSet,
+    eligible: Arc<Eligibility>,
     plan: FaultPlan,
     model: ErrorModel,
     seen: u64,
@@ -194,24 +248,6 @@ pub struct Injector {
     /// per writeback, just one comparison.
     cursor: usize,
     injected: u32,
-}
-
-#[derive(Debug)]
-enum EligibleSet {
-    /// A regime with a per-instruction mask (see
-    /// [`Protection::eligibility_mask`]).
-    Tagged(Vec<bool>),
-    /// [`Protection::None`]: every value-producing writeback is eligible.
-    All,
-}
-
-impl EligibleSet {
-    fn for_regime(program: &Program, tags: &TagMap, protection: Protection) -> EligibleSet {
-        match protection.eligibility_mask(program, tags) {
-            Some(mask) => EligibleSet::Tagged(mask),
-            None => EligibleSet::All,
-        }
-    }
 }
 
 impl Injector {
@@ -236,14 +272,43 @@ impl Injector {
         plan: FaultPlan,
         model: ErrorModel,
     ) -> Injector {
+        let eligible = Eligibility::new(program, tags, protection, None);
+        Self::shared(Arc::new(eligible), plan, model)
+    }
+
+    /// An injector over a campaign's shared eligibility table.
+    pub(crate) fn shared(
+        eligible: Arc<Eligibility>,
+        plan: FaultPlan,
+        model: ErrorModel,
+    ) -> Injector {
         Injector {
-            eligible: EligibleSet::for_regime(program, tags, protection),
+            eligible,
             plan,
             model,
             seen: 0,
             cursor: 0,
             injected: 0,
         }
+    }
+
+    /// Lets `aot`'s native regions ([`certa_sim::Machine::run_aot`]) run
+    /// between this injector's planned flips: native code retires the
+    /// eligible writebacks before the next flip, the interpreter runs the
+    /// block holding it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `aot` was not generated from this injector's program.
+    #[must_use]
+    pub fn with_native(mut self, aot: &AotProgram) -> Injector {
+        let writeback = self.eligible.writeback.clone();
+        let per_block = Some(aot.block_counts(&writeback));
+        self.eligible = Arc::new(Eligibility {
+            writeback,
+            per_block,
+        });
+        self
     }
 
     /// Seeds the injector as if `eligible_seen` eligible writebacks had
@@ -265,7 +330,8 @@ impl Injector {
         self
     }
 
-    /// Number of eligible writebacks observed so far.
+    /// Number of eligible writebacks observed so far (including those
+    /// native code retired unseen).
     #[must_use]
     pub fn eligible_seen(&self) -> u64 {
         self.seen
@@ -284,16 +350,8 @@ impl Injector {
     }
 
     #[inline]
-    fn is_eligible(&self, instr_index: usize) -> bool {
-        match &self.eligible {
-            EligibleSet::Tagged(set) => set[instr_index],
-            EligibleSet::All => true,
-        }
-    }
-
-    #[inline]
     fn next_bit(&mut self, instr_index: usize) -> Option<u8> {
-        if !self.is_eligible(instr_index) {
+        if !self.eligible.writeback[instr_index] {
             return None;
         }
         let idx = self.seen;
@@ -323,6 +381,26 @@ impl WritebackHook for Injector {
             Some(bit) => self.model.apply_f64(value, bit),
             None => value,
         }
+    }
+
+    /// The distance to the next planned flip, unbounded after the last
+    /// one; no window without native blocks.
+    fn native_window(&self) -> Option<NativeWindow<'_>> {
+        let per_block = self.eligible.per_block.as_deref()?;
+        let budget = self
+            .plan
+            .pairs()
+            .get(self.cursor)
+            .map_or(u64::MAX, |&(at, _)| at.saturating_sub(self.seen));
+        Some(NativeWindow {
+            eligible: &self.eligible.writeback,
+            per_block,
+            budget,
+        })
+    }
+
+    fn retired_natively(&mut self, eligible: u64) {
+        self.seen += eligible;
     }
 }
 
@@ -470,8 +548,11 @@ mod tests {
     fn resumed_injector_skips_prior_indices() {
         use certa_sim::WritebackHook;
 
+        // Instruction 0 produces a value: the machine calls writeback
+        // hooks only for value-producing instructions.
         let mut a = certa_asm::Asm::new();
         a.func("main", false);
+        a.li(certa_isa::reg::T0, 1);
         a.halt();
         a.endfunc();
         let program = a.assemble().unwrap();

@@ -66,7 +66,10 @@
 //! form ([`certa_sim::DecodedProgram`]), shared by every trial machine.
 //! The golden run, its checkpoints and that lowering depend on the target
 //! alone: a [`GoldenSession`] builds them once per workload and any number
-//! of campaigns run on it ([`GoldenSession::campaign`]).
+//! of campaigns run on it ([`GoldenSession::campaign`]). A session given
+//! the target's tier-4 native code runs the golden run and every
+//! checkpointed trial on it, returning to the interpreter only for the
+//! blocks that hold a planned register flip.
 //!
 //! The acceleration is **exact**: outcome, output, instruction count, and
 //! injected count of every trial are bit-identical to from-scratch

@@ -27,16 +27,30 @@
 //! * the [`AotExit`] discriminant tells the machine why native execution
 //!   stopped and therefore which tier handles the next instruction.
 //!
-//! Native regions run only hook-free (see
-//! [`crate::WritebackHook::IS_NOOP`]): a fault-injection or recording hook
-//! must observe every individual writeback, which is exactly the
-//! per-instruction observability native code compiles away. Campaigns
-//! therefore run golden runs and checkpoint capture natively and keep
-//! every fault trial on the interpreter tiers.
+//! A hook-free run ([`crate::WritebackHook::IS_NOOP`]) executes every
+//! block it can natively. A hook that must observe writebacks — the fault
+//! injector — instead opens an *eligibility window*
+//! ([`crate::WritebackHook::native_window`]): how many of the writebacks
+//! it counts native code may retire unseen (for the injector, the
+//! distance to its next planned flip), plus the per-block table of those
+//! counts. The windowed instantiation ([`AotProgram::run_windowed`])
+//! guards every block with `elig + ELIG[b] > elig_stop` beside the
+//! instruction-count guard and adds `ELIG[b]` at block close, so native
+//! code stops at the block holding the next observed writeback and
+//! returns [`AotExit::Bounded`]. The machine then runs the hook over the
+//! rest of that block on the interpreter in one call and re-enters native
+//! code at the next leader; a mid-block pc (every restored trial starts
+//! on one) is handed off the same way. No hook code is compiled into
+//! native regions, and `ELIG` is a runtime table, so one compiled module
+//! serves every protection regime and tag map. Both sides derive block
+//! boundaries from the one CFG the code was generated from
+//! ([`AotProgram::block_starts`]), so they cannot disagree about which
+//! block a flip lands in.
 
 use crate::machine::CrashKind;
 use crate::mem::{load_f64_mem, load_mem, store_f64_mem, store_mem, PagedMem};
 use certa_isa::MemWidth;
+use std::ops::Range;
 
 /// Why a native region returned control to the interpreter loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,6 +89,13 @@ pub struct AotCtx<'m> {
     icount: u64,
     vp: u64,
     stop: u64,
+    /// Per-block eligible-writeback counts (`ELIG`); empty outside
+    /// windowed regions.
+    elig_table: &'m [u32],
+    /// Eligible writebacks a windowed region may retire.
+    elig_stop: u64,
+    /// Eligible writebacks the region retired in whole blocks, as spilled.
+    elig: u64,
 }
 
 impl<'m> AotCtx<'m> {
@@ -88,6 +109,8 @@ impl<'m> AotCtx<'m> {
         icount: u64,
         vp: u64,
         stop: u64,
+        elig_table: &'m [u32],
+        elig_stop: u64,
     ) -> Self {
         AotCtx {
             regs,
@@ -98,7 +121,15 @@ impl<'m> AotCtx<'m> {
             icount,
             vp,
             stop,
+            elig_table,
+            elig_stop,
+            elig: 0,
         }
+    }
+
+    /// Eligible writebacks retired in whole blocks, as last spilled.
+    pub(crate) fn eligible_retired(&self) -> u64 {
+        self.elig
     }
 
     /// `(pc, icount, value_producing)` as last spilled (or as entered, if
@@ -137,6 +168,23 @@ impl<'m> AotCtx<'m> {
         self.stop
     }
 
+    /// The per-block eligible-writeback table (`ELIG`) of a windowed
+    /// region, indexed by block id; empty otherwise.
+    #[inline(always)]
+    #[must_use]
+    pub fn elig_table(&self) -> &'m [u32] {
+        self.elig_table
+    }
+
+    /// Eligible writebacks a windowed region may retire: a block may only
+    /// execute natively when retiring all of its eligible writebacks
+    /// stays at or below this bound.
+    #[inline(always)]
+    #[must_use]
+    pub fn elig_stop(&self) -> u64 {
+        self.elig_stop
+    }
+
     /// Integer register value at region entry (index taken modulo 32).
     #[inline(always)]
     #[must_use]
@@ -157,6 +205,13 @@ impl<'m> AotCtx<'m> {
         self.pc = pc;
         self.icount = icount;
         self.vp = vp;
+    }
+
+    /// Spills the eligible writebacks retired in whole blocks before a
+    /// return (windowed regions only).
+    #[inline(always)]
+    pub fn set_elig(&mut self, elig: u64) {
+        self.elig = elig;
     }
 
     /// Spills the integer register file before a return (element 0 is
@@ -286,11 +341,11 @@ impl<'m> AotCtx<'m> {
     }
 }
 
-/// One ahead-of-time compiled program: the pair of monomorphized region
-/// executors (`run` without profiling, `run_profiled` bumping
-/// `exec_counts`) plus enough identity for the machine to sanity-check
-/// that the native code matches the instruction stream it is about to
-/// execute.
+/// One ahead-of-time compiled program: its monomorphized region executors
+/// (`run` without profiling, `run_profiled` bumping `exec_counts`,
+/// `run_windowed` bounded by an eligible-writeback window) plus its block
+/// boundaries and enough identity for the machine to sanity-check that the
+/// native code matches the instruction stream it is about to execute.
 #[derive(Debug, Clone, Copy)]
 pub struct AotProgram {
     /// Program name the code was generated from (diagnostics).
@@ -298,9 +353,78 @@ pub struct AotProgram {
     /// Length of the instruction stream the code was generated from;
     /// [`crate::Machine::run_aot`] asserts this against its program.
     pub code_len: usize,
+    /// First instruction of every basic block, ascending and indexed by
+    /// block id: the CFG the native code (and its `BLOCK_AT` entry table)
+    /// was generated from. Block `b` spans `block_starts[b]` up to the
+    /// next start (or `code_len`).
+    pub block_starts: &'static [u32],
     /// Executes native regions starting at the context's pc until an
     /// [`AotExit`], without per-instruction profiling.
     pub run: fn(&mut AotCtx<'_>) -> AotExit,
     /// As `run`, but bumps per-instruction execution counts.
     pub run_profiled: fn(&mut AotCtx<'_>) -> AotExit,
+    /// As `run`, but a block also executes natively only when its
+    /// eligible writebacks ([`AotCtx::elig_table`]) fit under
+    /// [`AotCtx::elig_stop`].
+    pub run_windowed: fn(&mut AotCtx<'_>) -> AotExit,
+}
+
+impl AotProgram {
+    /// The instruction range of the block holding instruction `pc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc` is not below [`AotProgram::code_len`].
+    #[must_use]
+    pub fn block_range(&self, pc: usize) -> Range<usize> {
+        assert!(pc < self.code_len, "pc {pc} is outside the program");
+        let b = self.block_starts.partition_point(|&s| s as usize <= pc) - 1;
+        let end = self
+            .block_starts
+            .get(b + 1)
+            .map_or(self.code_len, |&s| s as usize);
+        self.block_starts[b] as usize..end
+    }
+
+    /// Folds a per-instruction indicator of the writebacks a hook counts
+    /// into per-block totals: the `ELIG` table a
+    /// [`crate::WritebackHook::native_window`] hands windowed regions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `eligible` does not cover exactly this program.
+    #[must_use]
+    pub fn block_counts(&self, eligible: &[bool]) -> Vec<u32> {
+        assert_eq!(
+            eligible.len(),
+            self.code_len,
+            "eligibility does not match the instruction stream"
+        );
+        let ends = self.block_starts[1..]
+            .iter()
+            .map(|&s| s as usize)
+            .chain([self.code_len]);
+        self.block_starts
+            .iter()
+            .zip(ends)
+            .map(|(&start, end)| {
+                eligible[start as usize..end].iter().filter(|&&e| e).count() as u32
+            })
+            .collect()
+    }
+}
+
+/// What a writeback hook lets native code do between its observations
+/// (see [`crate::WritebackHook::native_window`]).
+#[derive(Debug, Clone, Copy)]
+pub struct NativeWindow<'h> {
+    /// Per instruction: whether its writeback is one the hook counts (it
+    /// produces a value and the hook's eligibility admits it).
+    pub eligible: &'h [bool],
+    /// Per block of the [`AotProgram`]: the eligible writebacks the whole
+    /// block retires ([`AotProgram::block_counts`] of `eligible`).
+    pub per_block: &'h [u32],
+    /// Eligible writebacks native code may retire before the hook must
+    /// observe one; `u64::MAX` for no bound.
+    pub budget: u64,
 }

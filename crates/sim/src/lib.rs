@@ -137,7 +137,7 @@ mod decode;
 mod machine;
 mod mem;
 
-pub use aot::{AotCtx, AotExit, AotProgram};
+pub use aot::{AotCtx, AotExit, AotProgram, NativeWindow};
 pub use certa_asm::DATA_BASE;
 pub use decode::{chain_census, DecodedProgram, SuperblockPolicy};
 pub use machine::{

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use certa_asm::DATA_BASE;
 use certa_isa::{reg, AluOp, FpuOp, FReg, Instr, MemWidth, Program, Reg};
 
-use crate::aot::{AotCtx, AotExit, AotProgram};
+use crate::aot::{AotCtx, AotExit, AotProgram, NativeWindow};
 use crate::decode::{DecodedProgram, MOp, MicroOp, SuperOp};
 use crate::mem::{
     hash_page, load_f64_mem, load_mem, store_f64_mem, store_mem, PageBuf, PagedMem,
@@ -311,12 +311,13 @@ impl std::error::Error for MemError {}
 /// The default implementations pass values through unchanged.
 pub trait WritebackHook {
     /// Whether this hook observably does nothing: both writeback methods
-    /// are the identity and carry no state. Only such hooks may execute
-    /// inside AOT native regions ([`Machine::run_aot`]), where individual
-    /// writebacks are compiled away; every other hook keeps the
-    /// interpreter tiers, which call it on every value-producing
-    /// writeback. `false` is the safe default — an implementation may opt
-    /// in only when both methods are left at their defaults.
+    /// are the identity and carry no state. Such hooks run AOT native
+    /// regions ([`Machine::run_aot`]) without any eligibility bound —
+    /// individual writebacks are compiled away there. Any other hook runs
+    /// natively only inside the window it opens
+    /// ([`WritebackHook::native_window`]). `false` is the safe default —
+    /// an implementation may opt in only when every method is left at its
+    /// default.
     const IS_NOOP: bool = false;
 
     /// Observes/modifies an integer register writeback.
@@ -331,6 +332,24 @@ pub trait WritebackHook {
     fn float_writeback(&mut self, instr_index: usize, value: f64) -> f64 {
         let _ = instr_index;
         value
+    }
+
+    /// How far AOT native regions may run without this hook seeing the
+    /// writebacks it counts: which writebacks those are, per instruction
+    /// and per native block, and how many of them may retire unseen (see
+    /// the [`crate::aot`] module docs). Asked before every native entry.
+    /// `None`, the default, is a budget of zero with no table: every run
+    /// of the hook stays on the interpreter tiers.
+    #[inline]
+    fn native_window(&self) -> Option<NativeWindow<'_>> {
+        None
+    }
+
+    /// Native code retired `eligible` of the writebacks the window counts
+    /// without calling the hook (at most the window's budget).
+    #[inline]
+    fn retired_natively(&mut self, eligible: u64) {
+        let _ = eligible;
     }
 }
 
@@ -1059,10 +1078,14 @@ impl<'p> Machine<'p> {
     /// regions (see the [`crate::aot`] module docs), falling back to the
     /// interpreter tiers wherever native code cannot go. Observably
     /// identical to every other tier on outcome, output, instruction
-    /// counts, profile counts, and crash identity.
+    /// counts, profile counts, crash identity, and every writeback a hook
+    /// sees.
     ///
-    /// Hooks that actually observe writebacks (`H::IS_NOOP == false`)
-    /// cannot run natively; such runs execute entirely on the
+    /// A hook that observes writebacks (`H::IS_NOOP == false`) runs
+    /// natively only between the writebacks it counts, inside the window
+    /// it opens ([`WritebackHook::native_window`]); the interpreter runs
+    /// it over every block holding one. A hook that opens no window, and
+    /// any hooked run of a profiling machine, executes entirely on the
     /// superblock/fused dispatch tier.
     ///
     /// # Panics
@@ -1096,9 +1119,18 @@ impl<'p> Machine<'p> {
 
     /// The tier-4 driver loop behind [`Machine::run_aot`] and
     /// [`Machine::run_until_aot`]: alternates native region execution with
-    /// interpreter fallback, mirroring the check order of the interpreter
+    /// interpreter hand-offs, mirroring the check order of the interpreter
     /// loops (pause, watchdog, fetch) so every boundary observation is
     /// bit-identical.
+    ///
+    /// Native code returns early when the next whole block would cross
+    /// the pause/watchdog boundary or the hook's eligibility window
+    /// ([`AotExit::Bounded`]), or when the pc has no compiled entry
+    /// ([`AotExit::Escape`]: mid-block, e.g. after a restore, or an
+    /// indirect jump to one). Either way the interpreter then retires the
+    /// rest of the current block — stopping early at a pause target —
+    /// in one call, with the hook seeing each writeback, and native code
+    /// resumes at the next leader.
     fn run_aot_loop<H: WritebackHook, const BOUNDED: bool>(
         &mut self,
         hook: &mut H,
@@ -1110,7 +1142,15 @@ impl<'p> Machine<'p> {
             self.program.code.len(),
             "AOT program does not match the instruction stream"
         );
-        if !H::IS_NOOP {
+        let run_region = if H::IS_NOOP {
+            if self.profile {
+                aot.run_profiled
+            } else {
+                aot.run
+            }
+        } else if !self.profile && hook.native_window().is_some() {
+            aot.run_windowed
+        } else {
             // The hook must observe every individual writeback — exactly
             // what native code compiles away. Run the whole thing on the
             // interpreter's fastest tier instead.
@@ -1119,11 +1159,6 @@ impl<'p> Machine<'p> {
             } else {
                 self.run_decoded::<H, false, BOUNDED>(hook, target)
             };
-        }
-        let run_region = if self.profile {
-            aot.run_profiled
-        } else {
-            aot.run
         };
         let stop = if BOUNDED {
             target.min(self.max_instructions)
@@ -1131,6 +1166,7 @@ impl<'p> Machine<'p> {
             self.max_instructions
         };
         let code_len = aot.code_len as u64;
+        let mut native = true;
         loop {
             if BOUNDED && self.icount >= target {
                 return BoundedRun::Paused;
@@ -1141,68 +1177,75 @@ impl<'p> Machine<'p> {
             if self.pc >= code_len {
                 return self.finish(Outcome::Crashed(CrashKind::PcOutOfRange { pc: self.pc }));
             }
-            let entered_at = self.icount;
-            let exit = {
-                let mut ctx = AotCtx::new(
-                    &mut self.regs,
-                    &mut self.fregs,
-                    &mut self.mem,
-                    self.exec_counts.as_mut_slice(),
-                    self.pc,
-                    self.icount,
-                    self.value_producing,
-                    stop,
-                );
-                let exit = run_region(&mut ctx);
-                let (pc, icount, vp) = ctx.state();
-                self.pc = pc;
-                self.icount = icount;
-                self.value_producing = vp;
-                exit
+            if native {
+                native = false;
+                let window = if H::IS_NOOP {
+                    None
+                } else {
+                    Some(
+                        hook.native_window()
+                            .expect("a hook's native window stays open"),
+                    )
+                };
+                let (table, budget) =
+                    window.map_or((&[][..], u64::MAX), |w| (w.per_block, w.budget));
+                let entered_at = self.icount;
+                let (exit, retired) = {
+                    let mut ctx = AotCtx::new(
+                        &mut self.regs,
+                        &mut self.fregs,
+                        &mut self.mem,
+                        self.exec_counts.as_mut_slice(),
+                        self.pc,
+                        self.icount,
+                        self.value_producing,
+                        stop,
+                        table,
+                        budget,
+                    );
+                    let exit = run_region(&mut ctx);
+                    let (pc, icount, vp) = ctx.state();
+                    self.pc = pc;
+                    self.icount = icount;
+                    self.value_producing = vp;
+                    (exit, ctx.eligible_retired())
+                };
+                self.aot_retired += self.icount - entered_at;
+                if let Some(window) = window {
+                    // A crash cuts its block short: add the eligible
+                    // writebacks retired before the faulting instruction.
+                    let partial = match exit {
+                        AotExit::Crashed(_) => {
+                            let at = self.pc as usize;
+                            let block = aot.block_range(at);
+                            window.eligible[block.start..at]
+                                .iter()
+                                .filter(|&&e| e)
+                                .count() as u64
+                        }
+                        _ => 0,
+                    };
+                    hook.retired_natively(retired + partial);
+                }
+                match exit {
+                    AotExit::Halted => return self.finish(Outcome::Halted),
+                    AotExit::Crashed(kind) => return self.finish(Outcome::Crashed(kind)),
+                    // Re-check the boundaries the loop head checks (the
+                    // region may have retired instructions), then hand off.
+                    AotExit::Bounded | AotExit::Escape => continue,
+                }
+            }
+            native = true;
+            let block_end = aot.block_range(self.pc as usize).end as u64;
+            let until = self.icount + (block_end - self.pc);
+            let until = if BOUNDED { until.min(target) } else { until };
+            let step = if self.profile {
+                self.run_decoded::<H, true, true>(hook, until)
+            } else {
+                self.run_decoded::<H, false, true>(hook, until)
             };
-            self.aot_retired += self.icount - entered_at;
-            match exit {
-                AotExit::Halted => return self.finish(Outcome::Halted),
-                AotExit::Crashed(kind) => return self.finish(Outcome::Crashed(kind)),
-                AotExit::Bounded => {
-                    // The next whole block would cross the pause/watchdog
-                    // boundary: the interpreter retires the sub-block tail
-                    // and stops exactly at the boundary (or finishes).
-                    return if self.profile {
-                        self.run_decoded::<H, true, BOUNDED>(hook, target)
-                    } else {
-                        self.run_decoded::<H, false, BOUNDED>(hook, target)
-                    };
-                }
-                AotExit::Escape => {
-                    // No compiled entry at the current pc. The region may
-                    // have retired instructions before escaping (e.g. an
-                    // indirect jump to an uncompiled target), so re-check
-                    // the boundaries the loop head checked, then retire
-                    // exactly one instruction on the interpreter and retry
-                    // native entry — a mid-block resume pc walks forward
-                    // to the next block boundary this way.
-                    if BOUNDED && self.icount >= target {
-                        return BoundedRun::Paused;
-                    }
-                    if self.icount >= self.max_instructions {
-                        return self.finish(Outcome::InfiniteRun);
-                    }
-                    if self.pc >= code_len {
-                        return self
-                            .finish(Outcome::Crashed(CrashKind::PcOutOfRange { pc: self.pc }));
-                    }
-                    let one = self.icount + 1;
-                    let step = if self.profile {
-                        self.run_decoded::<H, true, true>(hook, one)
-                    } else {
-                        self.run_decoded::<H, false, true>(hook, one)
-                    };
-                    match step {
-                        BoundedRun::Paused => {}
-                        BoundedRun::Finished(result) => return BoundedRun::Finished(result),
-                    }
-                }
+            if let BoundedRun::Finished(result) = step {
+                return BoundedRun::Finished(result);
             }
         }
     }
