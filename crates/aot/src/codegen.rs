@@ -35,8 +35,9 @@ use certa_core::Cfg;
 use certa_isa::{AluOp, CmpOp, FCmpOp, FpuOp, Instr, MemWidth, Program};
 
 /// Generates a Rust module containing one [`certa-sim`](certa_sim)
-/// `AotProgram` per `(name, program)` entry, plus a `lookup(name)`
-/// function and an `ALL` table over every entry.
+/// `AotProgram` per `(name, program)` entry, each stamped with its
+/// program's length and [`Program::code_fingerprint`], plus an `ALL` table
+/// over every entry.
 ///
 /// # Panics
 ///
@@ -60,25 +61,12 @@ pub fn generate_module(entries: &[(&str, &Program)]) -> String {
             "duplicate AOT entry ident {id:?} (from name {name:?})"
         );
         emit_program(&mut out, name, &id, program);
-        idents.push((name, id));
+        idents.push(id);
     }
-
-    out.push_str("\n/// Looks up a precompiled program by the name it was generated from.\n");
-    out.push_str("#[must_use]\npub fn lookup(name: &str) -> Option<&'static AotProgram> {\n");
-    out.push_str("    match name {\n");
-    for (name, id) in &idents {
-        let _ = writeln!(
-            out,
-            "        {:?} => Some(&AOT_{}),",
-            name,
-            id.to_uppercase()
-        );
-    }
-    out.push_str("        _ => None,\n    }\n}\n");
 
     out.push_str("\n/// Every precompiled program in this module.\n");
     out.push_str("pub static ALL: &[&AotProgram] = &[\n");
-    for (_, id) in &idents {
+    for id in &idents {
         let _ = writeln!(out, "    &AOT_{},", id.to_uppercase());
     }
     out.push_str("];\n");
@@ -267,8 +255,9 @@ fn emit_program(out: &mut String, name: &str, id: &str, program: &Program) {
     let starts: Vec<String> = cfg.blocks.iter().map(|blk| blk.start.to_string()).collect();
     let _ = writeln!(
         out,
-        "\n/// Precompiled tier-4 program `{name}`.\npub static AOT_{upper}: AotProgram = AotProgram {{\n    name: {name:?},\n    code_len: {},\n    block_starts: &[{}],\n    run: run_{id}::<false, false>,\n    run_profiled: run_{id}::<true, false>,\n    run_windowed: run_{id}::<false, true>,\n}};",
+        "\n/// Precompiled tier-4 program `{name}`.\npub static AOT_{upper}: AotProgram = AotProgram {{\n    name: {name:?},\n    code_len: {},\n    fingerprint: {:#018x},\n    block_starts: &[{}],\n    run: run_{id}::<false, false>,\n    run_profiled: run_{id}::<true, false>,\n    run_windowed: run_{id}::<false, true>,\n}};",
         code.len(),
+        program.code_fingerprint(),
         starts.join(", ")
     );
 }
@@ -566,8 +555,9 @@ mod tests {
             .map(|blk| blk.start.to_string())
             .collect();
         assert!(src.contains(&format!("block_starts: &[{}]", starts.join(", "))));
-        assert!(src.contains("\"nested-loop\" => Some(&AOT_NESTED_LOOP)"));
+        assert!(src.contains("pub static ALL: &[&AotProgram] = &[\n    &AOT_NESTED_LOOP,\n];"));
         assert!(src.contains(&format!("code_len: {}", p.code.len())));
+        assert!(src.contains(&format!("fingerprint: {:#018x}", p.code_fingerprint())));
         // The halt exit spills pc on the halt instruction.
         assert!(src.contains("return AotExit::Halted"));
     }

@@ -10,10 +10,10 @@
 //! checked accessors of `certa_sim::aot::AotCtx`, and every pause,
 //! watchdog, crash, halt, and uncompiled-target boundary compiled in as
 //! an explicit early return carrying exact pc/icount/value-producing
-//! state. A consumer (the bench crate's `build.rs`) writes the generated
+//! state. A consumer (`certa-native`'s `build.rs`) writes the generated
 //! source into `OUT_DIR` and compiles it into its own binary; the
-//! interpreter tiers remain the bit-exact oracle and the fault-trial
-//! substrate.
+//! interpreter tiers remain the bit-exact oracle and run the block that
+//! holds each planned fault.
 //!
 //! [`progs`] holds the guest programs shared by the differential suite,
 //! the benches, and the build-time generator — the seeded random-program

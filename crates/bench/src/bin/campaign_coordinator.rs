@@ -29,7 +29,7 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use certa_bench::AsTarget;
+use certa_bench::{aot_workloads, AsTarget};
 use certa_core::analyze;
 use certa_dist::{Coordinator, DistConfig, DistProgress, DistResult};
 use certa_fault::wire::{encode_trial_record, ByteWriter};
@@ -116,7 +116,12 @@ fn run(args: &Args) -> Result<DistResult, String> {
         threads: 1,
         ..CampaignConfig::default()
     };
-    let session = CampaignSession::new(workload.as_target(), &tags, &config);
+    let session = CampaignSession::new_with_aot(
+        workload.as_target(),
+        &tags,
+        &config,
+        aot_workloads::for_program(workload.program()),
+    );
     let golden = session.golden().output.clone();
     let classify =
         move |record: &TrialRecord| workload.classify_trial(&record.status, &golden);

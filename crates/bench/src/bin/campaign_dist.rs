@@ -26,6 +26,11 @@
 //!    nonzero injected-fault and frame-recovery counters persisted to
 //!    `BENCH_dist.json`.
 //!
+//! The coordinator sessions and the workers run on tier-4 native code
+//! when the binaries are built with the `aot` feature (all three: this
+//! driver spawns its sibling `campaign_worker` and `campaign_coordinator`
+//! binaries); the inline baseline is always interpreted.
+//!
 //! Usage: `campaign_dist [--trials N] [--seed N]`; environment overrides:
 //! `CERTA_DIST_TRIALS`, `CERTA_DIST_WORKERS` (default 4),
 //! `CERTA_DIST_WORKLOAD` (default `susan`).
@@ -40,7 +45,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use certa_bench::{harness_json, parse_cli, write_bench_json, AsTarget};
+use certa_bench::{aot_workloads, harness_json, parse_cli, write_bench_json, AsTarget};
 use certa_core::analyze;
 use certa_dist::{ChaosConfig, Coordinator, DistConfig, DistProgress, DistResult};
 use certa_fault::wire::{encode_trial_record, ByteWriter};
@@ -114,6 +119,28 @@ fn spawn_worker_env(
     cmd.spawn()
 }
 
+/// How long worker processes may take to exit after the campaign ends.
+const STRAGGLER_GRACE: Duration = Duration::from_secs(5);
+
+/// Waits for `children` to exit until `grace` has passed, then kills the
+/// rest; returns how many it killed.
+fn reap(children: Vec<Child>, grace: Duration) -> usize {
+    let deadline = Instant::now() + grace;
+    let mut killed = 0;
+    for mut child in children {
+        while matches!(child.try_wait(), Ok(None)) {
+            if Instant::now() >= deadline {
+                let _ = child.kill();
+                killed += 1;
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let _ = child.wait();
+    }
+    killed
+}
+
 struct DistRun {
     result: DistResult,
     seconds: f64,
@@ -141,7 +168,12 @@ fn run_dist(
 ) -> Result<DistRun, String> {
     let tags = analyze(workload.program());
     let cfg = config(trials, seed);
-    let session = CampaignSession::new(workload.as_target(), &tags, &cfg);
+    let session = CampaignSession::new_with_aot(
+        workload.as_target(),
+        &tags,
+        &cfg,
+        aot_workloads::for_program(workload.program()),
+    );
     let coordinator = Coordinator::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
     let addr = coordinator.local_addr().map_err(|e| e.to_string())?.to_string();
     let exe = worker_exe().map_err(|e| e.to_string())?;
@@ -203,8 +235,18 @@ fn run_dist(
     });
     let seconds = started.elapsed().as_secs_f64();
 
-    for mut child in children {
-        let _ = child.wait();
+    // The campaign is over once the coordinator returns. Close its
+    // listener, so a worker that lost its connection near the end is
+    // refused on reconnect instead of waiting on a backlog nobody
+    // accepts, then give the workers a grace period and kill the rest:
+    // the records are already in hand.
+    drop(coordinator);
+    let stragglers = reap(children, STRAGGLER_GRACE);
+    if stragglers > 0 {
+        eprintln!(
+            "campaign_dist: killed {stragglers} worker(s) still running {}s after the campaign ended",
+            STRAGGLER_GRACE.as_secs()
+        );
     }
     if let Some(victim) = victim {
         let mut child = victim.into_inner().unwrap();
@@ -444,7 +486,9 @@ fn main() -> ExitCode {
     let workload = &*workload;
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
-    // Inline baseline: the ordinary in-process campaign.
+    // Inline baseline: the ordinary in-process campaign, interpreted in
+    // every build — so under the `aot` feature each phase below checks
+    // native workers against the interpreter.
     eprintln!("campaign_dist: inline baseline ({trials} trials of {workload_name})");
     let tags = analyze(workload.program());
     let inline_started = Instant::now();

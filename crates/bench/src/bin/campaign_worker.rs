@@ -1,7 +1,8 @@
 //! A campaign worker process: connects to a `campaign_dist` (or any
 //! `certa-dist`) coordinator, resolves the advertised workload from the
 //! study's workload set, and runs leased trial chunks until the campaign
-//! drains.
+//! drains — on tier-4 native code when built with the `aot` feature. Its
+//! done-line on stderr names the tier the trials ran on.
 //!
 //! Usage: `campaign_worker --connect HOST:PORT [--name NAME]`
 //!
@@ -98,10 +99,15 @@ fn main() -> ExitCode {
     match run_worker(addr, &resolve, &opts) {
         Ok(report) => {
             eprintln!(
-                "campaign_worker: {name} done — {} chunks, {} trials, {} stale, {} reconnects, \
+                "campaign_worker: {name} done — {} chunks, {} {} trials, {} stale, {} reconnects, \
                  {} corrupt frames dropped, {} duplicate frames absorbed, {} faults injected",
                 report.chunks_completed,
                 report.trials_completed,
+                if report.native {
+                    "native"
+                } else {
+                    "interpreted"
+                },
                 report.stale_acks,
                 report.reconnects,
                 report.corrupt_frames,

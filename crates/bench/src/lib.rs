@@ -17,29 +17,16 @@
 //! | Figure 6 (ART) | [`figure`] with [`FigureSpec::art`] | `repro_fig6` | `experiments` |
 //! | Address-protection ablation | [`ablation`] | `repro_ablation` | `ablation` |
 
-/// Tier-4 native code for every shared guest program, generated at build
-/// time by `build.rs` via `certa-aot` (feature `aot` only). Exposes one
-/// `AOT_*` static per program plus `lookup(name)` and `ALL`; the parity
-/// tests and the `aot`/`campaign_paper` benches consume it.
-#[cfg(feature = "aot")]
-#[allow(
-    unused_variables,
-    unused_mut,
-    unused_assignments,
-    unused_parens,
-    clippy::all,
-    clippy::pedantic,
-    clippy::nursery
-)]
-pub mod aot_workloads {
-    include!(concat!(env!("OUT_DIR"), "/aot_workloads.rs"));
-}
+/// Tier-4 native code for every shared guest program (`certa-native`,
+/// generated at build time under the `aot` feature, empty without it):
+/// `for_program`, `lookup(name)` and `ALL`. The parity tests, the
+/// `aot`/`campaign_paper` benches and every golden session here consume it.
+pub use certa_native as aot_workloads;
 
 use std::fmt::Write as _;
 
 use certa_core::{analyze, analyze_with, AnalysisOptions, TagMap};
 use certa_fault::{CampaignConfig, GoldenSession, Protection};
-use certa_sim::AotProgram;
 use certa_workloads::{all_workloads, FidelityDetail, Workload};
 
 /// One measured point of a campaign sweep.
@@ -84,18 +71,6 @@ fn detail_scalar(d: &FidelityDetail) -> f64 {
     }
 }
 
-/// The workload's tier-4 native code (`aot` feature).
-#[cfg(feature = "aot")]
-fn native_code(workload: &dyn Workload) -> Option<&'static AotProgram> {
-    aot_workloads::lookup(workload.name())
-}
-
-/// Without the `aot` feature there is no native code.
-#[cfg(not(feature = "aot"))]
-fn native_code(_workload: &dyn Workload) -> Option<&'static AotProgram> {
-    None
-}
-
 /// The golden session every campaign point of `workload` shares: built
 /// with the default checkpoint layout, which is what [`measure_point`]'s
 /// configurations ask for. With the `aot` feature the session holds the
@@ -106,7 +81,7 @@ pub fn golden_session(workload: &dyn Workload) -> GoldenSession<'_> {
     GoldenSession::new(
         workload.as_target(),
         &CampaignConfig::default(),
-        native_code(workload),
+        aot_workloads::for_program(workload.program()),
     )
 }
 
@@ -308,7 +283,11 @@ pub fn table3() -> Vec<Table3Row> {
     let mut rows = Vec::new();
     for w in all_workloads() {
         let tags = analyze(w.program());
-        let golden = GoldenSession::new(w.as_target(), &profile_only, native_code(&*w));
+        let golden = GoldenSession::new(
+            w.as_target(),
+            &profile_only,
+            aot_workloads::for_program(w.program()),
+        );
         rows.push(Table3Row {
             app: w.name(),
             instructions: golden.instructions(),

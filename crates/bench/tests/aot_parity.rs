@@ -13,17 +13,22 @@
 #![cfg(feature = "aot")]
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use certa_aot::progs::{nested_loop_program, AOT_RANDOM_SEEDS, RANDOM_BUF_LEN};
 use certa_bench::{aot_workloads, AsTarget};
 use certa_core::{analyze, TagMap};
-use certa_fault::{CampaignConfig, FaultPlan, FaultTarget, GoldenSession, Injector, Protection};
+use certa_dist::{run_worker, Coordinator, DistConfig, DistProgress, WorkerOptions};
+use certa_fault::{
+    CampaignConfig, CampaignSession, FaultPlan, FaultTarget, GoldenSession, Injector, Protection,
+    Target,
+};
 use certa_isa::{Instr, Program, Reg};
 use certa_sim::{
     AotProgram, BoundedRun, DecodedProgram, Machine, MachineConfig, NoHook, Outcome, RunResult,
     SuperblockPolicy, WritebackHook, DATA_BASE,
 };
-use certa_workloads::all_workloads;
+use certa_workloads::{all_workloads, Workload};
 
 /// Watchdog for the random programs (they always halt far below this;
 /// tampered or truncated runs are caught instead of spinning).
@@ -366,10 +371,7 @@ fn ring_threshold_paper_kernel_agrees() {
 /// and bit-identical trial records end to end.
 #[test]
 fn native_golden_campaigns_match_interpreted_campaigns() {
-    use certa_core::analyze;
-    use certa_fault::{
-        run_campaign, run_campaign_with_aot, CampaignConfig, CampaignSession, Protection,
-    };
+    use certa_fault::{run_campaign, run_campaign_with_aot};
 
     let workloads = all_workloads();
     let w = workloads
@@ -737,6 +739,183 @@ fn native_trials_match_interpreted_trials() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Susan with one immediate changed: a program of a generated program's
+/// length, with the same CFG, whose code differs in one instruction.
+struct OneInstructionOff {
+    susan: Box<dyn Workload>,
+    program: Program,
+}
+
+impl OneInstructionOff {
+    fn new() -> Self {
+        let susan = all_workloads()
+            .into_iter()
+            .find(|w| w.name() == "susan")
+            .expect("susan is a workload");
+        let mut program = susan.program().clone();
+        let at = program
+            .code
+            .iter()
+            .position(|i| matches!(i, Instr::Li { .. }))
+            .expect("susan loads an immediate");
+        if let Instr::Li { imm, .. } = &mut program.code[at] {
+            *imm ^= 1;
+        }
+        OneInstructionOff { susan, program }
+    }
+}
+
+impl Target for OneInstructionOff {
+    fn program(&self) -> &Program {
+        &self.program
+    }
+    fn prepare(&self, machine: &mut Machine<'_>) {
+        self.susan.prepare(machine);
+    }
+    fn extract(&self, machine: &Machine<'_>) -> Option<Vec<u8>> {
+        self.susan.extract(machine)
+    }
+    fn mem_size(&self) -> u32 {
+        self.susan.mem_size()
+    }
+}
+
+/// Native code is found by the program it was generated from, not by name
+/// or length: every precompiled program finds its own code, and a program
+/// of susan's length with one instruction changed finds none.
+#[test]
+fn native_code_is_found_by_program_identity() {
+    for w in all_workloads() {
+        let found = aot_workloads::for_program(w.program()).expect("workload is precompiled");
+        assert_eq!(found.name, w.name());
+    }
+    for seed in AOT_RANDOM_SEEDS {
+        let p = certa_aot::progs::random_program(seed);
+        let found = aot_workloads::for_program(&p).expect("seed is precompiled");
+        assert_eq!(found.name, format!("random_{seed}"));
+    }
+    let off = OneInstructionOff::new();
+    let susan = aot_workloads::lookup("susan").expect("susan is precompiled");
+    assert_eq!(off.program.code.len(), susan.code_len);
+    assert!(aot_workloads::for_program(&off.program).is_none());
+}
+
+/// Handing a golden session native code generated from another program is
+/// a caller bug, caught once at session build.
+#[test]
+#[should_panic(expected = "was not generated from the target's program")]
+fn golden_sessions_refuse_native_code_of_another_program() {
+    let off = OneInstructionOff::new();
+    let _ = GoldenSession::new(
+        &off,
+        &CampaignConfig::default(),
+        aot_workloads::lookup("susan"),
+    );
+}
+
+/// Resolves a job's workload by name, as `campaign_worker` does: the
+/// worker must find native code for the program on its own.
+fn resolve_workload(name: &str) -> Option<Box<dyn Target>> {
+    all_workloads()
+        .into_iter()
+        .find(|w| w.name() == name)
+        .map(|w| w as Box<dyn Target>)
+}
+
+/// `certa-dist` workers in an `aot` build run their trials natively, and
+/// their record tables equal an interpreted inline `run_all`: susan
+/// register faults under control protection, adpcm memory-cell faults,
+/// and mcf unprotected at its highest Table 2 level (crashes and hangs
+/// included), the last through a durable coordinator and its journal.
+#[test]
+fn native_dist_workers_match_interpreted_campaigns() {
+    let mcf_high = *certa_bench::table2_error_levels("mcf")
+        .iter()
+        .max()
+        .expect("mcf has Table 2 levels");
+    let (registers, cells) = (FaultTarget::Registers, FaultTarget::MemoryCells);
+    let cases = [
+        ("susan", registers, Protection::ControlOnly, 2, false),
+        ("adpcm", cells, Protection::ControlOnly, 3, false),
+        ("mcf", registers, Protection::None, mcf_high, true),
+    ];
+    for (name, target, protection, errors, durable) in cases {
+        let label = format!("{name} {target:?} {protection:?} e{errors}");
+        let w = resolve_workload(name).expect("workload");
+        let tags = analyze(w.program());
+        let config = CampaignConfig {
+            trials: 256,
+            errors,
+            protection,
+            target,
+            seed: 0xD157 ^ errors,
+            threads: 2,
+            ..CampaignConfig::default()
+        };
+        let inline = CampaignSession::new(&*w, &tags, &config).run_all();
+        let session = CampaignSession::new_with_aot(
+            &*w,
+            &tags,
+            &config,
+            aot_workloads::for_program(w.program()),
+        );
+        let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
+        let addr = coordinator.local_addr().expect("addr");
+        let dist = DistConfig {
+            fallback_inline: false,
+            chunk_parts: 8,
+            worker_threads: 1,
+            drain_timeout: Duration::from_secs(120),
+            ..DistConfig::default()
+        };
+        let journal = std::env::temp_dir().join(format!(
+            "certa-aot-parity-{}-{name}.wal",
+            std::process::id()
+        ));
+        let (result, reports) = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2u64)
+                .map(|i| {
+                    let opts = WorkerOptions {
+                        name: format!("native-{i}"),
+                        backoff_seed: i,
+                        // So neither worker drains the queue before the
+                        // other's first grant.
+                        throttle_per_chunk: Duration::from_millis(10),
+                        ..WorkerOptions::default()
+                    };
+                    scope.spawn(move || run_worker(addr, &resolve_workload, &opts))
+                })
+                .collect();
+            let result = if durable {
+                let progress = DistProgress::default();
+                coordinator.run_durable(&session, name, &dist, &progress, &journal, None)
+            } else {
+                coordinator.run(&session, name, &dist)
+            };
+            let reports: Vec<_> = workers
+                .into_iter()
+                .map(|h| h.join().expect("worker thread"))
+                .collect();
+            (result, reports)
+        });
+        let _ = std::fs::remove_file(&journal);
+        let result = result.unwrap_or_else(|e| panic!("{label}: distributed campaign: {e}"));
+        assert_eq!(
+            result.campaign.trials, inline,
+            "{label}: native workers vs interpreted inline run_all"
+        );
+        for report in reports {
+            let report = report.unwrap_or_else(|e| panic!("{label}: worker: {e}"));
+            assert_eq!(report.session_builds, 1, "{label}");
+            assert!(
+                report.native,
+                "{label}: worker {} ran interpreted",
+                report.worker
+            );
         }
     }
 }

@@ -2,6 +2,18 @@
 //! session independently from the [`JobSpec`], and runs leased chunks
 //! through the *identical* trial path as an in-process campaign.
 //!
+//! ## Native trials
+//!
+//! The worker finds tier-4 native code for the program its resolver
+//! returned ([`certa_native::for_program`]: same length, same code
+//! fingerprint) and builds its session with it. In a build that has code
+//! for that program (`certa-native`'s `aot` feature) the golden run and
+//! every checkpointed trial run natively, exactly as an inline session's
+//! do; otherwise the worker runs interpreted. Records are bit-identical
+//! either way, so the session fingerprint, the wire protocol and the
+//! journal do not know which tier ran — only [`WorkerReport::native`]
+//! says.
+//!
 //! Robustness: heartbeats on a leased chunk run on a guard thread over
 //! short-lived side connections (so they never interleave with an
 //! in-flight request frame); connection loss triggers re-attach
@@ -144,6 +156,10 @@ pub struct WorkerReport {
     /// the proof hook that a coordinator restart does not trigger a
     /// rebuild.
     pub session_builds: u32,
+    /// Whether the session this worker built runs its trials on tier-4
+    /// native code ([`CampaignSession::runs_natively`]); `false` until a
+    /// session is built.
+    pub native: bool,
     /// Completed chunks dropped un-sent because the coordinator's epoch
     /// moved (the work was done for a dead incarnation; the restarted
     /// coordinator re-queues whatever its journal lacks).
@@ -559,8 +575,14 @@ fn serve<'a>(
                 // held lease simply expires and the chunk redelivers —
                 // correct by design.
                 if session.is_none() {
-                    let built = CampaignSession::new(ctx.target, ctx.tags, &ctx.config);
+                    let built = CampaignSession::new_with_aot(
+                        ctx.target,
+                        ctx.tags,
+                        &ctx.config,
+                        certa_native::for_program(ctx.target.program()),
+                    );
                     report.session_builds += 1;
+                    report.native = built.runs_natively();
                     let fingerprint = built.fingerprint();
                     if fingerprint != ctx.fingerprint {
                         stop.store(true, Ordering::SeqCst);
@@ -615,12 +637,15 @@ fn serve<'a>(
 }
 
 /// Runs a worker against the coordinator at `addr` until the campaign
-/// drains (or the sabotage hook fires). Re-attaches with exponential
-/// backoff plus jitter on connection loss — including across a
-/// coordinator restart, where the new `Welcome`'s epoch tells the worker
-/// to drop work done for the dead incarnation (see the module docs) —
-/// and gives up after [`WorkerOptions::connect_attempts`] consecutive
-/// failures.
+/// drains (or the sabotage hook fires). `resolve` maps the job's workload
+/// name to a target; the session built for it on the first grant runs on
+/// the native code this build has for the target's program, if any, and
+/// on the interpreter otherwise ([`WorkerReport::native`] says which).
+/// Re-attaches with exponential backoff plus jitter on connection loss —
+/// including across a coordinator restart, where the new `Welcome`'s
+/// epoch tells the worker to drop work done for the dead incarnation (see
+/// the module docs) — and gives up after
+/// [`WorkerOptions::connect_attempts`] consecutive failures.
 ///
 /// # Errors
 ///

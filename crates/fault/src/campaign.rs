@@ -1114,11 +1114,23 @@ impl<'a> GoldenSession<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the golden run fails (see [`golden_run`]) or on an
-    /// `aot`/program length mismatch.
+    /// Panics if the golden run fails (see [`golden_run`]) or if `aot` was
+    /// not generated from `target`'s program ([`AotProgram::matches`]).
     #[must_use]
     pub fn new(target: &'a dyn Target, config: &CampaignConfig, aot: Option<&AotProgram>) -> Self {
         let program = target.program();
+        if let Some(aot) = aot {
+            assert!(
+                aot.matches(program),
+                "native code `{}` ({} instructions, code fingerprint {:#018x}) was not generated \
+                 from the target's program ({} instructions, code fingerprint {:#018x})",
+                aot.name,
+                aot.code_len,
+                aot.fingerprint,
+                program.code.len(),
+                program.code_fingerprint()
+            );
+        }
         // One decode for the golden run; trials get their own seeded
         // lowering below.
         let decoded = Arc::new(DecodedProgram::new(program));
@@ -1885,8 +1897,8 @@ impl<'a> CampaignSession<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the golden run fails (see [`golden_run`]) or on an
-    /// `aot`/program length mismatch.
+    /// Panics if the golden run fails (see [`golden_run`]) or if `aot` was
+    /// not generated from `target`'s program (see [`GoldenSession::new`]).
     #[must_use]
     pub fn new_with_aot(
         target: &'a dyn Target,
@@ -1921,6 +1933,14 @@ impl<'a> CampaignSession<'a> {
     #[must_use]
     pub fn config(&self) -> &CampaignConfig {
         &self.config
+    }
+
+    /// Whether this campaign's trials run on tier-4 native code: the
+    /// session holds an [`AotProgram`] and restores trials from
+    /// checkpoints (from-scratch trials stay on the interpreter).
+    #[must_use]
+    pub fn runs_natively(&self) -> bool {
+        self.aot.is_some() && self.checkpoints.is_some()
     }
 
     /// Bytes materialized capturing the golden checkpoints (see

@@ -708,6 +708,65 @@ impl Instr {
             _ => {}
         }
     }
+
+    /// A fixed encoding of every field, for
+    /// [`crate::Program::code_fingerprint`]: variant tag, operation (with a
+    /// load's signedness in bit 4), up to three register indices, and one
+    /// 64-bit word holding the immediate, offset, target or float bits.
+    pub(crate) fn encoding(&self) -> [u8; 13] {
+        let r = |reg: Reg| reg.index() as u8;
+        let f = |reg: FReg| reg.index() as u8;
+        let word = |imm: i32| u64::from(imm as u32);
+        let (tag, op, regs, word): (u8, u8, [u8; 3], u64) = match *self {
+            Instr::Alu { op, rd, rs, rt } => (0, op as u8, [r(rd), r(rs), r(rt)], 0),
+            Instr::AluImm { op, rd, rs, imm } => (1, op as u8, [r(rd), r(rs), 0], word(imm)),
+            Instr::Li { rd, imm } => (2, 0, [r(rd), 0, 0], word(imm)),
+            Instr::Load {
+                width,
+                signed,
+                rd,
+                base,
+                off,
+            } => (
+                3,
+                width as u8 | u8::from(signed) << 4,
+                [r(rd), r(base), 0],
+                word(off),
+            ),
+            Instr::Store {
+                width,
+                rs,
+                base,
+                off,
+            } => (4, width as u8, [r(rs), r(base), 0], word(off)),
+            Instr::Branch {
+                cond,
+                rs,
+                rt,
+                target,
+            } => (5, cond as u8, [r(rs), r(rt), 0], target as u64),
+            Instr::Jump { target } => (6, 0, [0; 3], target as u64),
+            Instr::Call { target } => (7, 0, [0; 3], target as u64),
+            Instr::JumpReg { rs } => (8, 0, [r(rs), 0, 0], 0),
+            Instr::Fpu { op, fd, fs, ft } => (9, op as u8, [f(fd), f(fs), f(ft)], 0),
+            Instr::FMov { fd, fs } => (10, 0, [f(fd), f(fs), 0], 0),
+            Instr::FAbs { fd, fs } => (11, 0, [f(fd), f(fs), 0], 0),
+            Instr::FNeg { fd, fs } => (12, 0, [f(fd), f(fs), 0], 0),
+            Instr::FSqrt { fd, fs } => (13, 0, [f(fd), f(fs), 0], 0),
+            Instr::FLi { fd, value } => (14, 0, [f(fd), 0, 0], value.to_bits()),
+            Instr::FLoad { fd, base, off } => (15, 0, [f(fd), r(base), 0], word(off)),
+            Instr::FStore { fs, base, off } => (16, 0, [f(fs), r(base), 0], word(off)),
+            Instr::CvtIF { fd, rs } => (17, 0, [f(fd), r(rs), 0], 0),
+            Instr::CvtFI { rd, fs } => (18, 0, [r(rd), f(fs), 0], 0),
+            Instr::FCmp { op, rd, fs, ft } => (19, op as u8, [r(rd), f(fs), f(ft)], 0),
+            Instr::Halt => (20, 0, [0; 3], 0),
+            Instr::Nop => (21, 0, [0; 3], 0),
+        };
+        let mut out = [0u8; 13];
+        out[..5].copy_from_slice(&[tag, op, regs[0], regs[1], regs[2]]);
+        out[5..].copy_from_slice(&word.to_le_bytes());
+        out
+    }
 }
 
 impl fmt::Display for Instr {

@@ -135,6 +135,31 @@ impl Program {
         self.function_at(index).is_some_and(|f| f.eligible)
     }
 
+    /// Identity of the code: FNV-1a over a fixed encoding of every
+    /// instruction, then the entry point and every function start. That is
+    /// everything a CFG's basic blocks — and native code generated from
+    /// them — depend on, so code generated from one program serves any
+    /// program of the same length and fingerprint. The data image, labels,
+    /// function names and eligibility do not enter it.
+    #[must_use]
+    pub fn code_fingerprint(&self) -> u64 {
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        let eat = |hash: u64, bytes: &[u8]| {
+            bytes
+                .iter()
+                .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+        };
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for instr in &self.code {
+            hash = eat(hash, &instr.encoding());
+        }
+        hash = eat(hash, &(self.entry as u64).to_le_bytes());
+        for f in &self.functions {
+            hash = eat(hash, &(f.start as u64).to_le_bytes());
+        }
+        hash
+    }
+
     /// Renders a human-readable disassembly listing with labels.
     #[must_use]
     pub fn disassemble(&self) -> String {
@@ -224,6 +249,33 @@ mod tests {
         assert!(!p.is_eligible(2));
         assert_eq!(p.function("kernel").unwrap().start, 0);
         assert!(p.function("missing").is_none());
+    }
+
+    #[test]
+    fn code_fingerprint_tracks_code_entry_and_function_starts() {
+        let base = prog(vec![Instr::Nop, Instr::Jump { target: 0 }, Instr::Halt]);
+        let fp = base.code_fingerprint();
+        assert_eq!(fp, base.clone().code_fingerprint());
+
+        let mut data = base.clone();
+        data.data = vec![1, 2, 3];
+        data.labels.insert("main".into(), 0);
+        assert_eq!(data.code_fingerprint(), fp, "data and labels are not code");
+
+        let mut target = base.clone();
+        target.code[1] = Instr::Jump { target: 2 };
+        let mut entry = base.clone();
+        entry.entry = 1;
+        let mut func = base.clone();
+        func.functions.push(FuncMeta {
+            name: "f".into(),
+            start: 2,
+            end: 3,
+            eligible: false,
+        });
+        for changed in [target, entry, func] {
+            assert_ne!(changed.code_fingerprint(), fp);
+        }
     }
 
     #[test]

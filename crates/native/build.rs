@@ -1,9 +1,9 @@
 //! Build script for the `aot` feature: generates tier-4 native code for
 //! every shared guest program into `$OUT_DIR/aot_workloads.rs`, which the
-//! library includes as the `aot_workloads` module.
+//! library includes.
 //!
-//! The generated set is exactly what the parity tests and benches
-//! exercise: the seven paper workloads, the differential suite's seeded
+//! The generated set is exactly what the parity tests, the benches and
+//! the campaign binaries exercise: the seven paper workloads, the differential suite's seeded
 //! random programs, the nested-loop lap kernel, and the paper-scale
 //! ring-threshold campaign kernel. Generation is gated at *runtime* on
 //! `CARGO_FEATURE_AOT` (build-dependencies cannot be feature-gated), so

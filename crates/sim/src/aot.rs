@@ -3,7 +3,7 @@
 //!
 //! The `certa-aot` crate walks a program's CFG and emits Rust source — one
 //! `match` arm per basic block, guest registers lowered to locals — which a
-//! consumer (the bench crate's `build.rs`) compiles into its own binary as
+//! consumer (`certa-native`'s `build.rs`) compiles into its own binary as
 //! [`AotProgram`] values. [`crate::Machine::run_aot`] drives such a program:
 //! it enters native code at block boundaries and falls back to the
 //! interpreter tiers everywhere native code cannot go (mid-block resume
@@ -49,7 +49,7 @@
 
 use crate::machine::CrashKind;
 use crate::mem::{load_f64_mem, load_mem, store_f64_mem, store_mem, PagedMem};
-use certa_isa::MemWidth;
+use certa_isa::{MemWidth, Program};
 use std::ops::Range;
 
 /// Why a native region returned control to the interpreter loop.
@@ -344,8 +344,10 @@ impl<'m> AotCtx<'m> {
 /// One ahead-of-time compiled program: its monomorphized region executors
 /// (`run` without profiling, `run_profiled` bumping `exec_counts`,
 /// `run_windowed` bounded by an eligible-writeback window) plus its block
-/// boundaries and enough identity for the machine to sanity-check that the
-/// native code matches the instruction stream it is about to execute.
+/// boundaries and the identity of the program it was generated from:
+/// length and [`certa_isa::Program::code_fingerprint`]. Whoever pairs code
+/// with a program checks both once ([`AotProgram::matches`]); the machine
+/// re-checks only the length on every run.
 #[derive(Debug, Clone, Copy)]
 pub struct AotProgram {
     /// Program name the code was generated from (diagnostics).
@@ -353,6 +355,9 @@ pub struct AotProgram {
     /// Length of the instruction stream the code was generated from;
     /// [`crate::Machine::run_aot`] asserts this against its program.
     pub code_len: usize,
+    /// [`certa_isa::Program::code_fingerprint`] of the program the code was
+    /// generated from.
+    pub fingerprint: u64,
     /// First instruction of every basic block, ascending and indexed by
     /// block id: the CFG the native code (and its `BLOCK_AT` entry table)
     /// was generated from. Block `b` spans `block_starts[b]` up to the
@@ -370,6 +375,14 @@ pub struct AotProgram {
 }
 
 impl AotProgram {
+    /// Whether this code was generated from `program`: same length and
+    /// same code fingerprint. A length match alone is not enough — an
+    /// unrelated program can have any given length.
+    #[must_use]
+    pub fn matches(&self, program: &Program) -> bool {
+        self.code_len == program.code.len() && self.fingerprint == program.code_fingerprint()
+    }
+
     /// The instruction range of the block holding instruction `pc`.
     ///
     /// # Panics

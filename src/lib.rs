@@ -9,6 +9,8 @@
 //! * [`isa`] — the MIPS-like instruction set with def/use metadata.
 //! * [`aot`] — tier-4 ahead-of-time Rust code generation from CFGs, plus
 //!   the shared guest programs the differential suite and benches compile.
+//! * [`native`] — the tier-4 code generated at build time (feature `aot`
+//!   of `certa-native`), found by the program it was generated from.
 //! * [`asm`] — the macro-assembler (builder DSL + text dialect).
 //! * [`sim`] — the functional simulator with fault-injection hooks.
 //! * [`core`] — **the paper's contribution**: the backward CVar dataflow
@@ -54,5 +56,6 @@ pub use certa_dist as dist;
 pub use certa_fault as fault;
 pub use certa_fidelity as fidelity;
 pub use certa_isa as isa;
+pub use certa_native as native;
 pub use certa_sim as sim;
 pub use certa_workloads as workloads;
