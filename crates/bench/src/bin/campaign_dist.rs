@@ -3,12 +3,14 @@
 //! on localhost, and proves the service's two core claims end to end:
 //!
 //! 1. **Determinism under distribution and loss** — the per-trial record
-//!    table of an in-process campaign, a 1-worker distributed campaign,
-//!    and an N-worker campaign whose slowest worker is SIGKILLed
-//!    mid-lease are all identical, and global reconciliation holds in
-//!    every case (the coordinator checks it before returning).
-//! 2. **Throughput scaling** — trials/s for 1 vs N workers, reported
-//!    per-worker and end-to-end in `BENCH_dist.json`. The ≥2× speedup
+//!    table of an in-process campaign, a 1-worker and an N-worker
+//!    distributed campaign, and an N-worker campaign whose slowest worker
+//!    is SIGKILLed mid-lease are all identical, and global reconciliation
+//!    holds in every case (the coordinator checks it before returning).
+//! 2. **Throughput scaling** — trials/s of the clean (no throttle, no
+//!    kill) 1- and N-worker runs, reported per-worker and end-to-end in
+//!    `BENCH_dist.json`. The kill run is not timed against them: its
+//!    victim's lease returns only after the lease TTL. The ≥2× speedup
 //!    gate is enforced only where the host actually has the cores for N
 //!    workers; on smaller machines the numbers are still reported, with
 //!    the gate recorded as not enforced.
@@ -495,21 +497,20 @@ fn main() -> ExitCode {
     let inline = run_campaign(workload.as_target(), &tags, &config(trials, seed));
     let inline_seconds = inline_started.elapsed().as_secs_f64();
 
-    eprintln!("campaign_dist: 1 worker process");
-    let one = match run_dist(workload, trials, seed, 1, false, None) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("campaign_dist: 1-worker run failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    let phase = |label: &str, n: usize, kill_victim: bool, chaos_seed: Option<u64>| {
+        eprintln!("campaign_dist: {label}");
+        run_dist(workload, trials, seed, n, kill_victim, chaos_seed)
+            .map_err(|e| eprintln!("campaign_dist: {label}: run failed: {e}"))
     };
-    eprintln!("campaign_dist: {workers} worker processes, SIGKILLing one mid-run");
-    let multi = match run_dist(workload, trials, seed, workers, true, None) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("campaign_dist: {workers}-worker run failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Ok(one) = phase("1 worker process", 1, false, None) else {
+        return ExitCode::FAILURE;
+    };
+    let Ok(multi) = phase(&format!("{workers} worker processes"), workers, false, None) else {
+        return ExitCode::FAILURE;
+    };
+    let kill_label = format!("{workers} worker processes, SIGKILLing one mid-run");
+    let Ok(kill) = phase(&kill_label, workers, true, None) else {
+        return ExitCode::FAILURE;
     };
     eprintln!("campaign_dist: durable coordinator, SIGKILLed mid-campaign and resumed");
     let inline_records = encode_records(&inline.trials);
@@ -521,18 +522,15 @@ fn main() -> ExitCode {
         }
     };
 
-    eprintln!("campaign_dist: {workers} worker processes under adversarial wire chaos");
     let chaos_seed = seed ^ 0xc4a05;
-    let chaos = match run_dist(workload, trials, seed, workers, false, Some(chaos_seed)) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("campaign_dist: chaos run failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    let chaos_label = format!("{workers} worker processes under adversarial wire chaos");
+    let Ok(chaos) = phase(&chaos_label, workers, false, Some(chaos_seed)) else {
+        return ExitCode::FAILURE;
     };
 
     let one_matches = one.result.campaign.trials == inline.trials;
     let multi_matches = multi.result.campaign.trials == inline.trials;
+    let kill_matches = kill.result.campaign.trials == inline.trials;
     let chaos_matches = chaos.result.campaign.trials == inline.trials;
     let chaos_injected = chaos.result.chaos.injected();
     // Wire-recovery evidence at the coordinator: corrupt frames it
@@ -576,7 +574,8 @@ fn main() -> ExitCode {
         "{{\"bench\":\"campaign_dist\",\"workload\":{workload_name:?},\"trials\":{trials},\"errors\":{ERRORS},\"seed\":{seed},\"cores\":{cores},\
 \"inline\":{{\"seconds\":{inline_seconds:.3},\"trials_per_sec\":{inline_tps:.3}}},\
 \"one_worker\":{{\"seconds\":{:.3},\"trials_per_sec\":{one_tps:.3},\"redeliveries\":{},\"harness\":{}}},\
-\"multi_worker\":{{\"workers\":{workers},\"seconds\":{:.3},\"trials_per_sec\":{multi_tps:.3},\"redeliveries\":{},\"victim_killed\":{},\"harness\":{},\"per_worker\":[{per_worker}]}},\
+\"multi_worker\":{{\"workers\":{workers},\"seconds\":{:.3},\"trials_per_sec\":{multi_tps:.3},\"redeliveries\":{},\"harness\":{},\"per_worker\":[{per_worker}]}},\
+\"worker_kill\":{{\"workers\":{workers},\"seconds\":{:.3},\"redeliveries\":{},\"victim_killed\":{},\"records_match\":{kill_matches}}},\
 \"durable\":{{\"killed_at_chunks\":{},\"total_chunks\":{},\"resumed\":{},\"epoch\":{},\"replayed_chunks\":{},\"replayed_trials\":{},\"stale_epoch_completions\":{},\"records_match\":{}}},\
 \"chaos\":{{\"seed\":{chaos_seed},\"seconds\":{:.3},\"injected\":{chaos_injected},\"resets\":{},\"stalls\":{},\"payload_corruptions\":{},\"length_corruptions\":{},\"duplicates\":{},\"delays\":{},\"corrupt_frames\":{},\"duplicate_frames\":{},\"auth_rejects\":{},\"redeliveries\":{},\"records_match\":{chaos_matches}}},\
 \"speedup_multi_over_one\":{speedup:.3},\"speedup_gate_enforced\":{gate_enforced},\"records_match\":{}}}",
@@ -585,8 +584,10 @@ fn main() -> ExitCode {
         harness_json(&one.result.campaign.harness_stats),
         multi.seconds,
         multi.result.redeliveries,
-        multi.victim_killed,
         harness_json(&multi.result.campaign.harness_stats),
+        kill.seconds,
+        kill.result.redeliveries,
+        kill.victim_killed,
         durable.killed_at_chunks,
         durable.total_chunks,
         durable.resumed,
@@ -606,7 +607,7 @@ fn main() -> ExitCode {
         chaos.result.wire.duplicate_frames,
         chaos.result.wire.auth_rejects,
         chaos.result.redeliveries,
-        one_matches && multi_matches && chaos_matches,
+        one_matches && multi_matches && kill_matches && chaos_matches,
     );
 
     println!(
@@ -627,14 +628,21 @@ fn main() -> ExitCode {
     );
     println!(
         "{:<14} {:>9.3} {:>12.1} {:>13}",
+        format!("{workers} w/ kill"),
+        kill.seconds,
+        tps(kill.seconds),
+        kill.result.redeliveries
+    );
+    println!(
+        "{:<14} {:>9.3} {:>12.1} {:>13}",
         "chaos",
         chaos.seconds,
         tps(chaos.seconds),
         chaos.result.redeliveries
     );
     eprintln!(
-        "campaign_dist: speedup {speedup:.2}x on {cores} core(s); victim killed: {}",
-        multi.victim_killed
+        "campaign_dist: clean-run speedup {speedup:.2}x on {cores} core(s); kill run's victim killed: {}",
+        kill.victim_killed
     );
     eprintln!(
         "campaign_dist: chaos run injected {chaos_injected} faults (coordinator side); \
@@ -660,9 +668,9 @@ fn main() -> ExitCode {
         }
     }
 
-    if !one_matches || !multi_matches || !chaos_matches {
+    if !one_matches || !multi_matches || !kill_matches || !chaos_matches {
         eprintln!(
-            "campaign_dist: FAIL — record tables diverge (1-worker match: {one_matches}, {workers}-worker match: {multi_matches}, chaos match: {chaos_matches})"
+            "campaign_dist: FAIL — record tables diverge (1-worker match: {one_matches}, {workers}-worker match: {multi_matches}, kill match: {kill_matches}, chaos match: {chaos_matches})"
         );
         return ExitCode::FAILURE;
     }
@@ -698,7 +706,7 @@ fn main() -> ExitCode {
         );
     }
     eprintln!(
-        "campaign_dist: record tables identical across inline, 1-worker, {workers}-worker-with-kill, coordinator-crash-resume, and wire-chaos runs"
+        "campaign_dist: record tables identical across inline, 1-worker, {workers}-worker, {workers}-worker-with-kill, coordinator-crash-resume, and wire-chaos runs"
     );
     ExitCode::SUCCESS
 }

@@ -14,12 +14,15 @@
 //! journal do not know which tier ran — only [`WorkerReport::native`]
 //! says.
 //!
-//! Robustness: heartbeats on a leased chunk run on a guard thread over
-//! short-lived side connections (so they never interleave with an
-//! in-flight request frame); connection loss triggers re-attach
-//! (re-connect + re-`Hello`) with exponential backoff plus deterministic
-//! jitter; and the [`WorkerSabotage`] hook lets tests make a worker
-//! vanish mid-lease — from the coordinator's point of view
+//! Robustness: while a leased chunk runs, a guard thread beats every
+//! [`WorkerOptions::heartbeat_interval`] over short-lived side
+//! connections (so beats never interleave with an in-flight request
+//! frame) and ends the moment the chunk does, so a chunk shorter than the
+//! interval costs neither a beat nor any idle time; connection loss
+//! triggers re-attach (re-connect + re-`Hello`, the handshake's timeouts
+//! capped like a beat's at 5 s) with exponential backoff plus
+//! deterministic jitter; and the [`WorkerSabotage`] hook lets tests make a
+//! worker vanish mid-lease — from the coordinator's point of view
 //! indistinguishable from a SIGKILL.
 //!
 //! ## Surviving a coordinator restart
@@ -45,14 +48,12 @@
 //!   afresh under the new epoch.
 
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
 use certa_core::TagMap;
-use certa_fault::{
-    CampaignConfig, CampaignSession, HarnessStats, RestoreStats, Target, TrialRecord,
-};
+use certa_fault::{CampaignConfig, CampaignSession, HarnessStats, RestoreStats, Target};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -233,13 +234,20 @@ impl Channel {
     }
 }
 
+/// Cap on the socket timeouts of the two exchanges a live coordinator
+/// answers at once: a heartbeat side connection and the `Hello`→`Welcome`
+/// handshake. A coordinator whose `run*` has returned keeps its listener
+/// bound, so a connect still succeeds; this cap bounds the wait for an
+/// answer that will never come.
+const SHORT_EXCHANGE_CAP: Duration = Duration::from_secs(5);
+
 /// Connects to the coordinator, applying the chaos wrapper (when
 /// configured) and full-duplex socket timeouts. A socket that refuses
 /// its timeouts is returned as an error, never used bare — an untimed
 /// socket is a thread leak waiting for a stalled peer.
 fn dial(
     addr: SocketAddr,
-    io_timeout: Duration,
+    timeout: Duration,
     chaos: Option<&Arc<Chaos>>,
 ) -> Result<NetStream, DistError> {
     let stream = TcpStream::connect(addr)?;
@@ -248,72 +256,48 @@ fn dial(
         None => NetStream::Plain(stream),
     };
     let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(io_timeout))?;
-    stream.set_write_timeout(Some(io_timeout))?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
     Ok(stream)
 }
 
-/// Fires heartbeats for one held lease until `stop`. Each heartbeat is a
-/// fresh side connection — the main connection stays free for the
+/// Beats for one held lease every `interval` until `stop`'s sender is
+/// dropped, which ends the guard at once: the wait is one blocking
+/// `recv_timeout`, so a chunk shorter than `interval` costs no beat and no
+/// idle time. Each heartbeat is a fresh side connection (timeouts capped
+/// by [`SHORT_EXCHANGE_CAP`]) — the main connection stays free for the
 /// eventual `Complete` frame. Heartbeat failures are swallowed: the worst
 /// case is a lost lease, which the redelivery machinery already covers.
 /// A socket that cannot take its timeouts is dropped and the beat
 /// skipped — never heartbeat over a socket that could block forever.
 fn heartbeat_guard(
     addr: SocketAddr,
-    beat: Request,
+    beat: &Request,
     interval: Duration,
     io_timeout: Duration,
     chaos: Option<&Arc<Chaos>>,
-    stop: &AtomicBool,
+    stop: &mpsc::Receiver<()>,
 ) {
-    let timeout = io_timeout.min(Duration::from_secs(5));
-    let step = Duration::from_millis(20).min(interval);
-    let mut elapsed = Duration::ZERO;
-    loop {
-        while elapsed < interval {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(step);
-            elapsed += step;
-        }
-        elapsed = Duration::ZERO;
+    let timeout = io_timeout.min(SHORT_EXCHANGE_CAP);
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(interval) {
         if let Ok(stream) = dial(addr, timeout, chaos) {
-            let _ = Channel::new(stream).roundtrip(&beat);
+            let _ = Channel::new(stream).roundtrip(beat);
         }
     }
 }
 
-/// A completed chunk whose `Complete` has not been accepted yet. Captured
-/// *before* the first delivery attempt, so a connection lost anywhere in
-/// the `Complete` round trip leaves the payload re-sendable. The stamped
-/// `epoch` decides its fate on re-attach: same epoch → re-send (the
-/// coordinator dedups), new epoch → drop and count (the work belonged to
-/// a dead incarnation).
+/// A completed chunk whose `Complete` has not been accepted yet. The
+/// `Request::Complete` is built once, *before* the first delivery
+/// attempt, and every attempt sends it by reference, so a connection lost
+/// anywhere in the round trip leaves the payload re-sendable unchanged.
+/// The epoch stamped in the request decides its fate on re-attach: same
+/// epoch → re-send (the coordinator dedups), new epoch → drop and count
+/// (the work belonged to a dead incarnation).
 struct PendingComplete {
-    epoch: u64,
-    worker: u32,
-    lease: u64,
-    chunk: u32,
-    records: Vec<(u32, TrialRecord)>,
+    trials: u64,
     harness: HarnessStats,
     restores: RestoreStats,
-    trials: u64,
-}
-
-impl PendingComplete {
-    fn request(&self) -> Request {
-        Request::Complete {
-            worker: self.worker,
-            lease: self.lease,
-            chunk: self.chunk,
-            epoch: self.epoch,
-            records: self.records.clone(),
-            harness: self.harness,
-            restores: self.restores,
-        }
-    }
+    request: Request,
 }
 
 /// Everything about the job that is fixed for the life of the worker
@@ -346,7 +330,7 @@ fn try_attach(
     challenge: u64,
     report: &mut WorkerReport,
 ) -> Result<(Channel, u32, u64, JobSpec), DistError> {
-    let stream = dial(addr, opts.io_timeout, opts.chaos.as_ref())?;
+    let stream = dial(addr, opts.io_timeout.min(SHORT_EXCHANGE_CAP), opts.chaos.as_ref())?;
     let mut channel = Channel::new(stream);
     let token = opts
         .secret
@@ -375,6 +359,10 @@ fn try_attach(
                         ));
                     }
                 }
+                // Attached: the main connection's later answers (a
+                // `Complete` waits on a journal sync) get the full budget.
+                channel.stream.set_read_timeout(Some(opts.io_timeout))?;
+                channel.stream.set_write_timeout(Some(opts.io_timeout))?;
                 Ok((worker, epoch, job))
             }
             Response::Reject { reason } => Err(DistError::Protocol(reason)),
@@ -458,8 +446,8 @@ fn deliver(
     pending: &mut Option<PendingComplete>,
     report: &mut WorkerReport,
 ) -> Result<Option<Served>, DistError> {
-    let request = pending.as_ref().expect("deliver needs a payload").request();
-    match channel.roundtrip(&request)? {
+    let staged = pending.as_ref().expect("deliver needs a payload");
+    match channel.roundtrip(&staged.request)? {
         Response::Ack { accepted: true, .. } => {
             let sent = pending.take().expect("payload still pending");
             report.chunks_completed += 1;
@@ -543,9 +531,9 @@ fn serve<'a>(
                     return Ok(Served::Done);
                 }
                 report.leases += 1;
-                let stop = Arc::new(AtomicBool::new(false));
+                // Dropping `stop` ends the guard at once.
+                let (stop, stopped) = mpsc::channel::<()>();
                 let guard = {
-                    let stop = Arc::clone(&stop);
                     let interval = ctx.opts.heartbeat_interval;
                     let io_timeout = ctx.opts.io_timeout;
                     let chaos = ctx.opts.chaos.clone();
@@ -553,7 +541,7 @@ fn serve<'a>(
                     std::thread::spawn(move || {
                         heartbeat_guard(
                             addr,
-                            Request::Heartbeat {
+                            &Request::Heartbeat {
                                 worker,
                                 lease,
                                 epoch,
@@ -561,7 +549,7 @@ fn serve<'a>(
                             interval,
                             io_timeout,
                             chaos.as_ref(),
-                            &stop,
+                            &stopped,
                         );
                     })
                 };
@@ -585,7 +573,7 @@ fn serve<'a>(
                     report.native = built.runs_natively();
                     let fingerprint = built.fingerprint();
                     if fingerprint != ctx.fingerprint {
-                        stop.store(true, Ordering::SeqCst);
+                        drop(stop);
                         guard.join().expect("heartbeat guard panicked");
                         return Err(DistError::JobMismatch(format!(
                             "session fingerprint {fingerprint:#x} != job fingerprint {:#x}",
@@ -603,20 +591,24 @@ fn serve<'a>(
                 let records = live.run_subset(&trials);
                 let harness = live.harness_stats().saturating_sub(&harness_before);
                 let restores = live.restore_stats().saturating_sub(&restores_before);
-                stop.store(true, Ordering::SeqCst);
+                drop(stop);
                 guard.join().expect("heartbeat guard panicked");
 
-                // Stage the payload *before* the first send attempt, so
+                // Stage the request *before* the first send attempt, so
                 // a connection lost mid-round-trip can re-send it.
                 *pending = Some(PendingComplete {
-                    epoch,
-                    worker,
-                    lease,
-                    chunk,
                     trials: trials.len() as u64,
-                    records: trials.iter().copied().zip(records).collect(),
                     harness,
                     restores,
+                    request: Request::Complete {
+                        worker,
+                        lease,
+                        chunk,
+                        epoch,
+                        records: trials.iter().copied().zip(records).collect(),
+                        harness,
+                        restores,
+                    },
                 });
                 if let Some(served) = deliver(channel, epoch, pending, report)? {
                     return Ok(served);
@@ -818,6 +810,35 @@ mod tests {
             assert!(delay <= cap, "attempt {attempt}: {delay:?} > {cap:?}");
             assert!(delay >= cap / 2, "attempt {attempt}: {delay:?} < half cap");
         }
+    }
+
+    #[test]
+    fn heartbeat_guard_ends_when_its_sender_drops() {
+        let (stop, stopped) = mpsc::channel::<()>();
+        let guard = std::thread::spawn(move || {
+            // Nothing listens here; a 60-s interval never gets to dial.
+            heartbeat_guard(
+                SocketAddr::from(([127, 0, 0, 1], 9)),
+                &Request::Heartbeat {
+                    worker: 0,
+                    lease: 1,
+                    epoch: 0,
+                },
+                Duration::from_secs(60),
+                Duration::from_secs(60),
+                None,
+                &stopped,
+            );
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        let dropped = std::time::Instant::now();
+        drop(stop);
+        guard.join().expect("guard thread");
+        assert!(
+            dropped.elapsed() < Duration::from_secs(1),
+            "guard outlived its chunk by {:?}",
+            dropped.elapsed()
+        );
     }
 
     #[test]

@@ -16,13 +16,13 @@
 
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use certa_asm::Asm;
 use certa_core::analyze;
 use certa_dist::{
-    run_worker, Chaos, ChaosConfig, ChaosCounts, Coordinator, DistConfig, DistError, DistResult,
-    WorkerOptions, WorkerReport,
+    run_worker, Chaos, ChaosConfig, ChaosCounts, Coordinator, DistConfig, DistError, DistProgress,
+    DistResult, WorkerOptions, WorkerReport,
 };
 use certa_fault::{run_campaign, CampaignConfig, CampaignSession, Target, TrialRecord};
 use certa_isa::reg::{T0, T1, T2, T3};
@@ -386,6 +386,8 @@ fn wrong_secret_is_rejected_counted_and_never_served() {
 /// an unproven peer. An honest no-secret worker runs alongside so the
 /// campaign still drains (the wary worker registers at Hello — before
 /// it can see the proofless Welcome — so inline fallback never arms).
+/// The honest worker starts only once that Hello is registered: a
+/// campaign drained first would leave the wary Hello unanswered.
 #[test]
 fn worker_rejects_a_coordinator_that_cannot_prove_the_secret() {
     let trials = 16;
@@ -402,6 +404,8 @@ fn worker_rejects_a_coordinator_that_cannot_prove_the_secret() {
         ..DistConfig::default()
     };
 
+    let progress = DistProgress::default();
+    let attached = &progress;
     let mut result = None;
     let mut wary_outcome = None;
     let mut honest_outcome = None;
@@ -415,6 +419,10 @@ fn worker_rejects_a_coordinator_that_cannot_prove_the_secret() {
             run_worker(addr, &resolve_sum, &opts)
         });
         let honest = scope.spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while attached.workers_attached() == 0 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
             let opts = WorkerOptions {
                 name: "honest".into(),
                 ..WorkerOptions::default()
@@ -423,7 +431,7 @@ fn worker_rejects_a_coordinator_that_cannot_prove_the_secret() {
         });
         result = Some(
             coordinator
-                .run(&session, "sum", &dist)
+                .run_with_progress(&session, "sum", &dist, &progress)
                 .expect("the honest worker drains the campaign"),
         );
         wary_outcome = Some(wary.join().unwrap());

@@ -6,7 +6,7 @@
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use certa_asm::Asm;
 use certa_core::analyze;
@@ -105,11 +105,22 @@ fn run_distributed(
     dist: DistConfig,
     workers: Vec<WorkerOptions>,
 ) -> (DistResult, Vec<Result<WorkerReport, DistError>>) {
+    let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
+    run_on(&coordinator, trials, &dist, workers)
+}
+
+/// Runs one campaign on `coordinator` plus in-process worker threads to
+/// completion; the coordinator (and its bound listener) outlives it.
+fn run_on(
+    coordinator: &Coordinator,
+    trials: usize,
+    dist: &DistConfig,
+    workers: Vec<WorkerOptions>,
+) -> (DistResult, Vec<Result<WorkerReport, DistError>>) {
     let target = SumTarget::new();
     let tags = analyze(target.program());
     let cfg = config(trials);
     let session = CampaignSession::new(&target, &tags, &cfg);
-    let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
     let addr: SocketAddr = coordinator.local_addr().expect("addr");
     let mut result = None;
     let mut reports = Vec::new();
@@ -120,7 +131,7 @@ fn run_distributed(
             .collect();
         result = Some(
             coordinator
-                .run(&session, "sum", &dist)
+                .run(&session, "sum", dist)
                 .expect("distributed campaign"),
         );
         reports = handles.into_iter().map(|h| h.join().unwrap()).collect();
@@ -223,6 +234,87 @@ fn worker_loss_mid_lease_redelivers_and_stays_deterministic() {
     let victim_report = reports[0].as_ref().expect("victim exits voluntarily");
     assert!(victim_report.abandoned);
     reports[1].as_ref().expect("survivor finishes clean");
+}
+
+/// A worker slower than its lease TTL keeps every lease by heartbeating:
+/// beats every 40 ms against a 200-ms TTL hold each chunk for more than
+/// three TTLs without a single redelivery.
+#[test]
+fn heartbeats_keep_a_slow_workers_leases_alive() {
+    let trials = 24;
+    let target = SumTarget::new();
+    let tags = analyze(target.program());
+    let inline = run_campaign(&target, &tags, &config(trials));
+
+    let dist = DistConfig {
+        lease_ttl: Duration::from_millis(200),
+        fallback_inline: false,
+        chunk_parts: 2,
+        drain_timeout: Duration::from_secs(120),
+        ..DistConfig::default()
+    };
+    let steady = WorkerOptions {
+        heartbeat_interval: Duration::from_millis(40),
+        throttle_per_chunk: Duration::from_millis(600),
+        ..fast_worker("steady", 12)
+    };
+    let (result, reports) = run_distributed(trials, dist, vec![steady]);
+    let report = reports[0].as_ref().expect("worker finishes clean");
+
+    assert_eq!(result.redeliveries, 0, "a beating worker's lease must never expire");
+    let ledger = &result.workers[0];
+    assert!(
+        (2..=3).contains(&ledger.chunks_completed),
+        "the plan should have 2-3 chunks, got {}",
+        ledger.chunks_completed
+    );
+    assert_eq!(ledger.stale_completions, 0);
+    assert_eq!(report.stale_acks, 0);
+    assert!(
+        ledger.heartbeats >= 2 * u64::from(ledger.chunks_completed),
+        "{} heartbeats for {} chunks",
+        ledger.heartbeats,
+        ledger.chunks_completed
+    );
+    assert_eq!(result.campaign.trials, inline.trials, "per-trial records differ");
+}
+
+/// A worker that lost its connection as the campaign ended re-attaches to
+/// a coordinator whose `run` has returned. The listener is still bound,
+/// so the connect succeeds, but nobody accepts: the `Hello` must give up
+/// within the 5-s cap on short exchanges, not the default 60-s
+/// `io_timeout`.
+#[test]
+fn late_reattach_to_a_finished_coordinator_fails_fast() {
+    let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
+    let addr = coordinator.local_addr().expect("addr");
+    let dist = DistConfig {
+        fallback_inline: false,
+        chunk_parts: 2,
+        drain_timeout: Duration::from_secs(120),
+        ..DistConfig::default()
+    };
+    let (result, reports) = run_on(&coordinator, 16, &dist, vec![fast_worker("early", 13)]);
+    assert!(!result.fallback_used);
+    reports[0].as_ref().expect("the campaign's worker finishes clean");
+
+    let late = WorkerOptions {
+        name: "late".into(),
+        connect_attempts: 1,
+        ..WorkerOptions::default()
+    };
+    assert_eq!(late.io_timeout, Duration::from_secs(60));
+    let started = Instant::now();
+    match run_worker(addr, &resolve_sum, &late) {
+        Err(DistError::Io(_)) => {}
+        other => panic!("expected an Io error from the unanswered Hello, got {other:?}"),
+    }
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_secs(15),
+        "a Hello to a finished coordinator blocked for {waited:?}"
+    );
+    drop(coordinator);
 }
 
 /// Tentpole: kill the coordinator provably mid-campaign (via the
