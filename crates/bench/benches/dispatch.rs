@@ -6,10 +6,13 @@
 //! and hook-free (the campaign's hot configuration).
 //!
 //! Prints MIPS (millions of simulated instructions per second) for each
-//! workload and three geometric-mean speedups (acceptance targets:
-//! superblock ≥ 1.3× over fused, ≥ 2.8× over reference), and emits a
-//! `BENCH_dispatch.json` summary for the CI artifact trail; the
-//! `bench_trajectory` binary gates CI on the headline geomean.
+//! workload and three geometric-mean speedups, and emits a
+//! `BENCH_dispatch.json` summary for the CI artifact trail. There is no
+//! absolute target: the `bench_trajectory` binary fails CI when
+//! `geomean_speedup` (superblock/reference) or
+//! `geomean_superblock_vs_fused` falls more than 10% below its committed
+//! baseline in `baselines/`, or any workload's `speedup` or
+//! `speedup_vs_fused` more than 25%.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -197,9 +200,9 @@ fn bench_dispatch_throughput(c: &mut Criterion) {
     let geo_fused_ref = geomean(&fused_vs_ref);
     let geo_sb_fused = geomean(&sb_vs_fused);
     println!(
-        "dispatch geomeans: superblock/reference {geo_sb_ref:.2}x (target ≥ 2.8x), \
+        "dispatch geomeans: superblock/reference {geo_sb_ref:.2}x, \
          fused/reference {geo_fused_ref:.2}x, superblock/fused {geo_sb_fused:.2}x \
-         (target ≥ 1.3x)"
+         (bench_trajectory gates the first and last against baselines/)"
     );
 
     let json = format!(

@@ -10,12 +10,15 @@
 //! ```text
 //! cargo run --release -p certa-bench --example sbtune -- [min_len] [max_len] [rounds]
 //! ```
+//!
+//! `min_len` and `max_len` default to [`SuperblockPolicy::default`]'s;
+//! `rounds` defaults to 7.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use certa_bench::time_tiers;
-use certa_sim::{chain_census, DecodedProgram, Machine, MachineConfig, NoHook, SuperblockPolicy};
+use certa_sim::{DecodedProgram, Machine, MachineConfig, NoHook, SuperblockPolicy};
 use certa_workloads::{all_workloads, Workload};
 
 fn time_runs(
@@ -71,39 +74,22 @@ fn aot_coverage(w: &dyn Workload) -> Option<f64> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let min_len: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2);
-    let max_len: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(64);
+    let default = SuperblockPolicy::default();
+    let min_len: usize = args
+        .get(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default.min_len);
+    let max_len: usize = args
+        .get(2)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default.max_len);
     let rounds: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(7);
     let policy = SuperblockPolicy {
         min_len,
         max_len,
-        ..SuperblockPolicy::default()
+        ..default
     };
     println!("policy: min_len={min_len} max_len={max_len} rounds={rounds}");
-
-    // Dynamic chain census across the study: the measurement that decides
-    // which concrete 2-/3-op sequences earn specialized handlers.
-    let mut census_all: std::collections::HashMap<String, u64> = std::collections::HashMap::new();
-    for w in all_workloads() {
-        let config = MachineConfig {
-            mem_size: w.mem_size(),
-            profile: true,
-            ..MachineConfig::default()
-        };
-        let mut m = Machine::new(w.program(), &config);
-        w.prepare(&mut m);
-        m.run_simple();
-        for (name, weight) in chain_census(w.program(), Some(m.exec_counts())) {
-            *census_all.entry(name).or_default() += weight;
-        }
-    }
-    let mut census: Vec<(String, u64)> = census_all.into_iter().collect();
-    census.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    println!("top dynamic chains (aggregated over all workloads):");
-    for (name, weight) in census.iter().take(12) {
-        println!("  {name:<28} {weight}");
-    }
-
     println!(
         "{:<10} {:>5} {:>7} {:>7} {:>6} {:>6} {:>8} {:>10} {:>10} {:>10} {:>9}",
         "workload", "sbs", "elems", "avg", "spec", "cov", "aot cov", "ref MIPS", "fus MIPS",

@@ -1,16 +1,21 @@
-//! Regenerates every table and figure of the paper in one run.
-//! Usage: `repro_all [--trials N] [--seed S]`.
+//! Regenerates every table and figure of the paper in one run, or one
+//! artifact with a subcommand.
+//! Usage: `repro_all [table1|table2|table3|fig1…fig6|ablation] [--trials N] [--seed S]`.
+use certa_bench::Artifact;
+
 fn main() {
-    let (trials, seed) = certa_bench::parse_cli(40);
-    println!("=== certa: full reproduction (trials = {trials}) ===\n");
-    println!("{}", certa_bench::table1());
-    let rows = certa_bench::table2(trials, seed);
-    println!("{}", certa_bench::render_table2(&rows));
-    println!("{}", certa_bench::render_table3(&certa_bench::table3()));
-    for spec in certa_bench::FigureSpec::all() {
-        let points = certa_bench::figure(&spec, trials, seed);
-        println!("{}", certa_bench::render_figure(&spec, &points));
+    let cli = certa_bench::parse_repro_cli();
+    let (trials, seed) = (cli.trials, cli.seed);
+    if let Some(artifact) = cli.artifact {
+        print!("{}", artifact.render(trials, seed));
+        return;
     }
-    let rows = certa_bench::ablation(trials.min(24), 4, seed);
-    print!("{}", certa_bench::render_ablation(&rows));
+    println!("=== certa: full reproduction (trials = {trials}) ===\n");
+    // Every artifact but the last, the ablation, which the full run caps
+    // at 24 trials.
+    let (ablation, rest) = Artifact::ALL.split_last().expect("ten artifacts");
+    for artifact in rest {
+        println!("{}", artifact.render(trials, seed));
+    }
+    print!("{}", ablation.render(trials.min(24), seed));
 }

@@ -1,21 +1,23 @@
 //! # certa-bench
 //!
 //! The experiment harness: one function per table/figure of the paper, each
-//! returning printable rows so that the `repro_*` binaries and the criterion
-//! benches share the exact same measurement path.
+//! returning printable rows so that `repro_all` and the criterion benches
+//! share the exact same measurement path. `repro_all` with no subcommand
+//! regenerates everything; a subcommand ([`Artifact`]) regenerates one
+//! artifact at its own default trial count.
 //!
-//! | Paper artifact | Function | Binary | Criterion bench |
+//! | Paper artifact | Function | Command | Criterion bench |
 //! |---|---|---|---|
-//! | Table 1 | [`table1`] | `repro_table1` | `experiments` |
-//! | Table 2 | [`table2`] | `repro_table2` | `experiments` |
-//! | Table 3 | [`table3`] | `repro_table3` | `experiments` |
-//! | Figure 1 (Susan) | [`figure`] with [`FigureSpec::susan`] | `repro_fig1` | `experiments` |
-//! | Figure 2 (MPEG) | [`figure`] with [`FigureSpec::mpeg`] | `repro_fig2` | `experiments` |
-//! | Figure 3 (MCF) | [`figure`] with [`FigureSpec::mcf`] | `repro_fig3` | `experiments` |
-//! | Figure 4 (Blowfish) | [`figure`] with [`FigureSpec::blowfish`] | `repro_fig4` | `experiments` |
-//! | Figure 5 (GSM) | [`figure`] with [`FigureSpec::gsm`] | `repro_fig5` | `experiments` |
-//! | Figure 6 (ART) | [`figure`] with [`FigureSpec::art`] | `repro_fig6` | `experiments` |
-//! | Address-protection ablation | [`ablation`] | `repro_ablation` | `ablation` |
+//! | Table 1 | [`table1`] | `repro_all table1` | `experiments` |
+//! | Table 2 | [`table2`] | `repro_all table2` | `experiments` |
+//! | Table 3 | [`table3`] | `repro_all table3` | `experiments` |
+//! | Figure 1 (Susan) | [`figure`] with [`FigureSpec::susan`] | `repro_all fig1` | `experiments` |
+//! | Figure 2 (MPEG) | [`figure`] with [`FigureSpec::mpeg`] | `repro_all fig2` | `experiments` |
+//! | Figure 3 (MCF) | [`figure`] with [`FigureSpec::mcf`] | `repro_all fig3` | `experiments` |
+//! | Figure 4 (Blowfish) | [`figure`] with [`FigureSpec::blowfish`] | `repro_all fig4` | `experiments` |
+//! | Figure 5 (GSM) | [`figure`] with [`FigureSpec::gsm`] | `repro_all fig5` | `experiments` |
+//! | Figure 6 (ART) | [`figure`] with [`FigureSpec::art`] | `repro_all fig6` | `experiments` |
+//! | Address-protection ablation | [`ablation`] | `repro_all ablation` | `ablation` |
 
 /// Tier-4 native code for every shared guest program (`certa-native`,
 /// generated at build time under the `aot` feature, empty without it):
@@ -791,22 +793,118 @@ pub fn json_workload_names(json: &str) -> Vec<String> {
     names
 }
 
-/// Parses the `--trials N` / `--seed N` CLI convention used by the
-/// `repro_*` binaries from `args` (without the program name). Returns
-/// `(trials, seed)`; either flag may be omitted (`default_trials`, seed
-/// `0xCE27A`).
+/// One artifact `repro_all` can regenerate on its own, named by its
+/// subcommand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Artifact {
+    /// `table1`.
+    Table1,
+    /// `table2`.
+    Table2,
+    /// `table3`.
+    Table3,
+    /// `fig1` … `fig6`: [`FigureSpec::all`]`[i]`.
+    Figure(usize),
+    /// `ablation`.
+    Ablation,
+}
+
+impl Artifact {
+    /// Every artifact, in `repro_all`'s order.
+    pub const ALL: [Artifact; 10] = [
+        Artifact::Table1,
+        Artifact::Table2,
+        Artifact::Table3,
+        Artifact::Figure(0),
+        Artifact::Figure(1),
+        Artifact::Figure(2),
+        Artifact::Figure(3),
+        Artifact::Figure(4),
+        Artifact::Figure(5),
+        Artifact::Ablation,
+    ];
+
+    /// The artifact a subcommand names (`table1`, `fig3`, `ablation`, …).
+    #[must_use]
+    pub fn from_subcommand(name: &str) -> Option<Artifact> {
+        match name {
+            "table1" => Some(Artifact::Table1),
+            "table2" => Some(Artifact::Table2),
+            "table3" => Some(Artifact::Table3),
+            "ablation" => Some(Artifact::Ablation),
+            _ => FigureSpec::all()
+                .iter()
+                .position(|spec| spec.id == name)
+                .map(Artifact::Figure),
+        }
+    }
+
+    /// Trials per point when `--trials` is absent: 24 for the ablation,
+    /// 40 for everything else.
+    #[must_use]
+    pub fn default_trials(self) -> usize {
+        if self == Artifact::Ablation {
+            24
+        } else {
+            40
+        }
+    }
+
+    /// The artifact's text at `trials` per point.
+    #[must_use]
+    pub fn render(self, trials: usize, seed: u64) -> String {
+        match self {
+            Artifact::Table1 => table1(),
+            Artifact::Table2 => render_table2(&table2(trials, seed)),
+            Artifact::Table3 => render_table3(&table3()),
+            Artifact::Figure(i) => {
+                let spec = &FigureSpec::all()[i];
+                render_figure(spec, &figure(spec, trials, seed))
+            }
+            Artifact::Ablation => render_ablation(&ablation(trials, 4, seed)),
+        }
+    }
+}
+
+/// A parsed `[subcommand] [--trials N] [--seed N]` command line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cli {
+    /// The artifact a leading subcommand named, if any.
+    pub artifact: Option<Artifact>,
+    /// Trials per point: `--trials`, else the artifact's default, else
+    /// the caller's.
+    pub trials: usize,
+    /// Campaign seed: `--seed`, else `0xCE27A`.
+    pub seed: u64,
+}
+
+/// Parses `[subcommand] [--trials N] [--seed N]` from `args` (without the
+/// program name). A subcommand, when present, comes first and names an
+/// [`Artifact`]; `--trials` then defaults to that artifact's
+/// [`Artifact::default_trials`], and to `default_trials` without one.
+/// Either flag may be omitted and they may come in any order.
 ///
 /// # Errors
 ///
-/// An unknown argument, a flag without a value, or a value that is not a
-/// non-negative decimal integer.
-pub fn parse_args(args: &[String], default_trials: usize) -> Result<(usize, u64), String> {
-    let mut trials = default_trials;
+/// An unknown subcommand or argument, a flag without a value, or a value
+/// that is not a non-negative decimal integer.
+pub fn parse_args(args: &[String], default_trials: usize) -> Result<Cli, String> {
+    let (artifact, flags) = match args.split_first() {
+        Some((first, rest)) if !first.starts_with("--") => {
+            let artifact = Artifact::from_subcommand(first)
+                .ok_or_else(|| format!("unknown subcommand {first:?}"))?;
+            (Some(artifact), rest)
+        }
+        _ => (None, args),
+    };
+    let mut trials = artifact.map_or(default_trials, Artifact::default_trials);
     let mut seed = 0xCE27A;
-    let mut args = args.iter();
-    while let Some(flag) = args.next() {
+    let mut flags = flags.iter();
+    while let Some(flag) = flags.next() {
         let value = match flag.as_str() {
-            "--trials" | "--seed" => args.next().ok_or_else(|| format!("{flag} needs a value"))?,
+            "--trials" | "--seed" => flags
+                .next()
+                .ok_or_else(|| format!("{flag} needs a value"))?,
             other => return Err(format!("unknown argument {other:?}")),
         };
         let invalid = |_| format!("{flag} takes a non-negative integer, got {value:?}");
@@ -816,18 +914,47 @@ pub fn parse_args(args: &[String], default_trials: usize) -> Result<(usize, u64)
             seed = value.parse().map_err(invalid)?;
         }
     }
-    Ok((trials, seed))
+    Ok(Cli {
+        artifact,
+        trials,
+        seed,
+    })
 }
 
-/// [`parse_args`] over the process arguments. On bad input it prints the
+/// [`parse_args`] over the process arguments for a binary that takes no
+/// subcommand; returns `(trials, seed)`. On bad input it prints the
 /// problem and the usage to stderr and exits with code 2, so a typo never
 /// silently runs the defaults.
 #[must_use]
 pub fn parse_cli(default_trials: usize) -> (usize, u64) {
+    let cli = cli_or_exit(default_trials, false);
+    (cli.trials, cli.seed)
+}
+
+/// [`parse_args`] over the process arguments for `repro_all`, which takes
+/// an optional subcommand. Exits with code 2 on bad input, like
+/// [`parse_cli`].
+#[must_use]
+pub fn parse_repro_cli() -> Cli {
+    cli_or_exit(40, true)
+}
+
+fn cli_or_exit(default_trials: usize, subcommands: bool) -> Cli {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_args(&args, default_trials).unwrap_or_else(|e| {
+    let parsed = match args.first() {
+        Some(first) if !subcommands && !first.starts_with("--") => {
+            Err(format!("unknown argument {first:?}"))
+        }
+        _ => parse_args(&args, default_trials),
+    };
+    parsed.unwrap_or_else(|e| {
         let program = std::env::args().next().unwrap_or_default();
-        eprintln!("{program}: {e}\nusage: {program} [--trials N] [--seed N]");
+        let subcommand = if subcommands {
+            "[table1|table2|table3|fig1…fig6|ablation] "
+        } else {
+            ""
+        };
+        eprintln!("{program}: {e}\nusage: {program} {subcommand}[--trials N] [--seed N]");
         std::process::exit(2)
     })
 }
@@ -951,28 +1078,80 @@ mod tests {
         assert!((geomean(&[0.5, 8.0]) - geomean(&[8.0, 0.5])).abs() < 1e-12);
     }
 
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| (*s).to_string()).collect()
+    }
+
     #[test]
     fn parse_args_accepts_the_two_flags_in_any_order() {
-        let args = |v: &[&str]| v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_args(&args(&[]), 40), Ok((40, 0xCE27A)));
+        let cli = |artifact, trials, seed| {
+            Ok(Cli {
+                artifact,
+                trials,
+                seed,
+            })
+        };
+        assert_eq!(parse_args(&args(&[]), 40), cli(None, 40, 0xCE27A));
         assert_eq!(
             parse_args(&args(&["--trials", "1000"]), 40),
-            Ok((1000, 0xCE27A))
+            cli(None, 1000, 0xCE27A)
         );
         assert_eq!(
             parse_args(&args(&["--seed", "7", "--trials", "3"]), 40),
-            Ok((3, 7))
+            cli(None, 3, 7)
         );
     }
 
     #[test]
+    fn parse_args_reads_every_subcommand_with_its_default_trials() {
+        let names = [
+            "table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
+            "ablation",
+        ];
+        for (name, artifact) in names.into_iter().zip(Artifact::ALL) {
+            let trials = if name == "ablation" { 24 } else { 40 };
+            assert_eq!(
+                parse_args(&args(&[name]), 40),
+                Ok(Cli {
+                    artifact: Some(artifact),
+                    trials,
+                    seed: 0xCE27A,
+                }),
+                "{name}"
+            );
+            assert_eq!(
+                parse_args(&args(&[name, "--seed", "7", "--trials", "3"]), 40),
+                Ok(Cli {
+                    artifact: Some(artifact),
+                    trials: 3,
+                    seed: 7,
+                }),
+                "{name} with flags"
+            );
+        }
+        for (i, spec) in FigureSpec::all().iter().enumerate() {
+            assert_eq!(
+                Artifact::from_subcommand(spec.id),
+                Some(Artifact::Figure(i))
+            );
+        }
+    }
+
+    #[test]
+    fn parse_args_rejects_unknown_and_misplaced_subcommands() {
+        let err = |v: &[&str]| parse_args(&args(v), 40).expect_err("must be rejected");
+        assert!(err(&["table4"]).contains("unknown subcommand"));
+        assert!(err(&["fig7", "--trials", "3"]).contains("unknown subcommand"));
+        assert!(err(&["Table1"]).contains("unknown subcommand"));
+        assert!(err(&["--trials", "3", "table1"]).contains("unknown argument"));
+        assert!(err(&["table1", "table2"]).contains("unknown argument"));
+    }
+
+    #[test]
     fn parse_args_rejects_bad_input() {
-        let err = |v: &[&str]| {
-            let args: Vec<String> = v.iter().map(|s| (*s).to_string()).collect();
-            parse_args(&args, 40).expect_err("must be rejected")
-        };
+        let err = |v: &[&str]| parse_args(&args(v), 40).expect_err("must be rejected");
         assert!(err(&["--trails", "1000"]).contains("unknown argument"));
-        assert!(err(&["1000"]).contains("unknown argument"));
+        assert!(err(&["1000"]).contains("unknown subcommand"));
         assert!(err(&["--trials"]).contains("needs a value"));
         assert!(err(&["--trials", "40", "--seed"]).contains("needs a value"));
         assert!(err(&["--trials", "1e3"]).contains("non-negative integer"));

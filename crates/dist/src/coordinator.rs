@@ -13,7 +13,7 @@ use std::collections::HashSet;
 use std::net::{TcpListener, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use certa_fault::{
@@ -49,7 +49,13 @@ pub struct DistConfig {
     /// exceed the worker heartbeat interval; a SIGKILLed worker's chunks
     /// come back after at most this long.
     pub lease_ttl: Duration,
-    /// Suggested worker poll delay when every open chunk is leased out.
+    /// How long the coordinator holds a `Lease` request it cannot grant
+    /// yet (every open chunk is leased out) before answering
+    /// `Wait { poll_ms: 0 }`. The hold ends early with a `Grant` or
+    /// `Drained` as soon as a completion, an expired lease, drain or
+    /// shutdown changes the answer, so an idle worker is always held,
+    /// never asleep. Keep it below the workers' read timeout
+    /// (`WorkerOptions::io_timeout`).
     pub worker_poll: Duration,
     /// Degrade to in-process execution when zero workers ever attach
     /// within [`DistConfig::fallback_grace`] — a campaign should complete
@@ -288,6 +294,10 @@ struct Shared<'s, 'a> {
     journal: Mutex<Option<Journal>>,
     classify: Option<&'s VerdictClassifier>,
     table: Mutex<LeaseTable>,
+    /// Signalled, after the change, whenever a held `Lease` request's
+    /// answer may have changed: a Fresh completion (which may also drain
+    /// the table), an expiry that re-queued a chunk, and shutdown.
+    table_changed: Condvar,
     records: Mutex<Vec<Option<TrialRecord>>>,
     harness: Mutex<HarnessStats>,
     restores: Mutex<RestoreStats>,
@@ -395,15 +405,7 @@ impl Shared<'_, '_> {
                         ),
                     };
                 }
-                let now = self.now_ms();
-                let granted = {
-                    let mut table = self.table.lock().expect("lease lock");
-                    table.expire(now);
-                    table
-                        .lease(worker, now)
-                        .map(Ok)
-                        .unwrap_or_else(|| Err(table.is_drained()))
-                };
+                let granted = self.lease_or_hold(worker);
                 match granted {
                     Ok((lease, chunk, trials)) => {
                         self.with_ledger(worker, |l| l.leases += 1);
@@ -424,10 +426,7 @@ impl Shared<'_, '_> {
                             .insert(worker);
                         Response::Drained
                     }
-                    Err(false) => Response::Wait {
-                        poll_ms: u64::try_from(self.dist.worker_poll.as_millis())
-                            .unwrap_or(u64::MAX),
-                    },
+                    Err(false) => Response::Wait { poll_ms: 0 },
                 }
             }
             Request::Heartbeat {
@@ -482,6 +481,37 @@ impl Shared<'_, '_> {
                     Err(reason) => Response::Reject { reason },
                 }
             }
+        }
+    }
+
+    /// Leases a chunk to `worker`, or holds the request for at most
+    /// [`DistConfig::worker_poll`] until one frees up. `Err(true)` means
+    /// the table drained, `Err(false)` that the hold ran out (or the
+    /// coordinator is shutting down) with nothing to grant.
+    fn lease_or_hold(&self, worker: u32) -> Result<(u64, u32, Vec<u32>), bool> {
+        let deadline = Instant::now() + self.dist.worker_poll;
+        let mut table = self.table.lock().expect("lease lock");
+        loop {
+            let now = self.now_ms();
+            if table.expire(now) > 0 {
+                // Other held requests may take the rest of what came back.
+                self.table_changed.notify_all();
+            }
+            if let Some(grant) = table.lease(worker, now) {
+                return Ok(grant);
+            }
+            if table.is_drained() {
+                return Err(true);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || self.shutdown.load(Ordering::SeqCst) {
+                return Err(false);
+            }
+            table = self
+                .table_changed
+                .wait_timeout(table, left)
+                .expect("lease lock")
+                .0;
         }
     }
 
@@ -566,6 +596,7 @@ impl Shared<'_, '_> {
                 });
                 self.fresh_accepted.fetch_add(1, Ordering::SeqCst);
                 self.progress.chunks_done.fetch_add(1, Ordering::Relaxed);
+                self.table_changed.notify_all();
                 Ok(true)
             }
         }
@@ -883,6 +914,7 @@ impl Coordinator {
             journal: Mutex::new(journal),
             classify,
             table: Mutex::new(table),
+            table_changed: Condvar::new(),
             records: Mutex::new(vec![None; session.config().trials]),
             harness: Mutex::new(HarnessStats::default()),
             restores: Mutex::new(RestoreStats::default()),
@@ -996,11 +1028,13 @@ impl Coordinator {
                         break;
                     }
                 }
-                let drained = {
+                let (requeued, drained) = {
                     let mut table = shared.table.lock().expect("lease lock");
-                    table.expire(shared.now_ms());
-                    table.is_drained()
+                    (table.expire(shared.now_ms()), table.is_drained())
                 };
+                if requeued > 0 {
+                    shared.table_changed.notify_all();
+                }
                 if drained {
                     break;
                 }
@@ -1049,6 +1083,11 @@ impl Coordinator {
                 }
             }
             shared.shutdown.store(true, Ordering::SeqCst);
+            // Wake held `Lease` requests. The flag is not guarded by the
+            // lease lock, so take the lock first: that orders the wake-up
+            // after any held request's last look at the flag.
+            drop(shared.table.lock().expect("lease lock"));
+            shared.table_changed.notify_all();
             acceptor.join().expect("acceptor thread panicked");
         });
 

@@ -279,6 +279,59 @@ fn heartbeats_keep_a_slow_workers_leases_alive() {
     assert_eq!(result.campaign.trials, inline.trials, "per-trial records differ");
 }
 
+/// A worker with nothing to lease is held by the coordinator, not put to
+/// sleep: with a 5-s `worker_poll` and a single chunk, the idle worker
+/// must hear `Drained` the moment the other one completes the chunk,
+/// instead of sleeping out a 5-s `Wait` the post-drain linger then waits
+/// for.
+#[test]
+fn idle_worker_hears_drained_without_sleeping_out_the_poll() {
+    let trials = 1;
+    let target = SumTarget::new();
+    let tags = analyze(target.program());
+    let cfg = config(trials);
+    let inline = run_campaign(&target, &tags, &cfg);
+    let session = CampaignSession::new(&target, &tags, &cfg);
+    let dist = DistConfig {
+        worker_poll: Duration::from_secs(5),
+        fallback_inline: false,
+        chunk_parts: 1,
+        drain_timeout: Duration::from_secs(120),
+        ..DistConfig::default()
+    };
+    assert_eq!(session.chunk_plan(dist.chunk_parts).len(), 1);
+    // Whoever wins the chunk holds it for a second, long enough for the
+    // other worker to attach and ask for a lease.
+    let worker = |name: &str, seed| WorkerOptions {
+        throttle_per_chunk: Duration::from_secs(1),
+        ..fast_worker(name, seed)
+    };
+    let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
+    let addr = coordinator.local_addr().expect("addr");
+    let (result, took, reports) = std::thread::scope(|scope| {
+        let handles: Vec<_> = [worker("alpha", 21), worker("beta", 22)]
+            .into_iter()
+            .map(|opts| scope.spawn(move || run_worker(addr, &resolve_sum, &opts)))
+            .collect();
+        let started = Instant::now();
+        let result = coordinator
+            .run(&session, "sum", &dist)
+            .expect("distributed campaign");
+        let took = started.elapsed();
+        let reports: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        (result, took, reports)
+    });
+    assert!(
+        took < Duration::from_secs(4),
+        "run returned after {took:?}: the idle worker slept out its poll"
+    );
+    assert_eq!(result.workers.len(), 2, "both workers attached");
+    for report in reports {
+        report.expect("worker finished clean");
+    }
+    assert_eq!(result.campaign.trials, inline.trials, "per-trial records differ");
+}
+
 /// A worker that lost its connection as the campaign ended re-attaches to
 /// a coordinator whose `run` has returned. The listener is still bound,
 /// so the connect succeeds, but nobody accepts: the `Hello` must give up

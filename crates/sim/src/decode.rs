@@ -253,183 +253,83 @@ impl MicroOp {
     }
 }
 
-/// Combo tag: no second op — the element executes `op` alone.
+/// Chain tag of a single element: no second op — the element executes
+/// `op` alone through the full single-op executor.
 pub(crate) const COMBO_NONE: u8 = 0;
-/// Combo tag: two ALU/`li` ops retired by one dispatch.
-pub(crate) const COMBO_ALU_ALU: u8 = 1;
-/// Combo tag: ALU/`li` feeding (or preceding) an integer load.
-pub(crate) const COMBO_ALU_LOAD: u8 = 2;
-/// Combo tag: integer load followed by an ALU/`li` op.
-pub(crate) const COMBO_LOAD_ALU: u8 = 3;
-/// Combo tag: ALU/`li` followed by a conditional branch.
-pub(crate) const COMBO_ALU_BRANCH: u8 = 4;
-/// Combo tag: ALU/`li` followed by an integer store.
-pub(crate) const COMBO_ALU_STORE: u8 = 5;
-/// Combo tag: integer store followed by an ALU/`li` op.
-pub(crate) const COMBO_STORE_ALU: u8 = 6;
-/// Combo tag: two adjacent integer stores (struct/field writes).
-pub(crate) const COMBO_STORE_STORE: u8 = 7;
-/// Combo tag: the catch-all pair — any micro-op that always falls through
-/// (or crashes) followed by any successor, each dispatched through the
-/// full single-op executor. Guarantees the trace tier never retires fewer
-/// instructions per dispatch than the fused tier's dynamic pairing, even
-/// on shapes (FPU arithmetic, conversions, mixed float/int) the classed
-/// and specialized arms do not cover.
-pub(crate) const COMBO_ANY_ANY: u8 = 43;
 
 // ---------------------------------------------------------------------
-// Specialized chain tags.
+// Chain tags.
 //
-// The generic combo arms above still pay one inner jump table per half
-// (`AluOp::ALL[discriminant]`, load width, branch condition). The tags
-// below are **constant-folded specializations** of the concrete 2- and
-// 3-op sequences that dominate the dynamic chain census (see
-// [`chain_census`]): each tag has a dedicated straight-line handler in
-// `machine.rs` with the operation, operand form, width, and condition
-// fixed at compile time — registers resolved at decode time, no inner
-// dispatch of any kind. Micro-op fields are stored verbatim for pairs;
-// the two triple tags re-pack fields (layouts documented at the match
-// arms in [`specialize_triple`]).
+// Each tag is a **constant-folded specialization** of one concrete 2- or
+// 3-op sequence: a dedicated straight-line handler in `machine.rs` with
+// the operation, operand form, width, and condition fixed at compile
+// time — registers resolved at decode time, no inner dispatch of any
+// kind. Micro-op fields are stored verbatim for pairs; the triple tags
+// re-pack fields (layouts documented at the match arms in
+// [`specialize_triple`]).
+//
+// The vocabulary is set by measured traffic: a tag stays only while it
+// retires at least 5% of some study workload's golden-run instructions
+// (a tag cannot save more dispatches than the instructions it retires).
+// A neighbour no chain covers is a single element.
 // ---------------------------------------------------------------------
 
-/// First specialized tag (everything `>=` this is a specialized chain).
-pub(crate) const CH_FIRST: u8 = 8;
 /// `sllri + addrr` (the top half of the address-generation chain).
-pub(crate) const CH_SLLI_ADD: u8 = 8;
+pub(crate) const CH_SLLI_ADD: u8 = 1;
 /// `addrr + addrr`.
-pub(crate) const CH_ADD_ADD: u8 = 9;
-/// `addri + sltri` (loop-latch compare half).
-pub(crate) const CH_ADDI_SLTI: u8 = 10;
-/// `subrr + srari`.
-pub(crate) const CH_SUB_SRAI: u8 = 11;
+pub(crate) const CH_ADD_ADD: u8 = 2;
 /// `srari + xorrr`.
-pub(crate) const CH_SRAI_XOR: u8 = 12;
-/// `xorrr + subrr`.
-pub(crate) const CH_XOR_SUB: u8 = 13;
-/// `sltri + addrr`.
-pub(crate) const CH_SLTI_ADD: u8 = 14;
+pub(crate) const CH_SRAI_XOR: u8 = 3;
 /// `addrr + addri`.
-pub(crate) const CH_ADD_ADDI: u8 = 15;
+pub(crate) const CH_ADD_ADDI: u8 = 4;
 /// `mulri + addrr`.
-pub(crate) const CH_MULI_ADD: u8 = 16;
-/// `andri + sllri`.
-pub(crate) const CH_ANDI_SLLI: u8 = 17;
+pub(crate) const CH_MULI_ADD: u8 = 5;
 /// `addrr + lw` (address compute feeding a word load).
-pub(crate) const CH_ADD_LW: u8 = 18;
-/// `addri + lw`.
-pub(crate) const CH_ADDI_LW: u8 = 19;
-/// `addrr + lbu`.
-pub(crate) const CH_ADD_LBU: u8 = 20;
+pub(crate) const CH_ADD_LW: u8 = 6;
 /// `lw + addrr`.
-pub(crate) const CH_LW_ADD: u8 = 21;
-/// `lw + addri`.
-pub(crate) const CH_LW_ADDI: u8 = 22;
+pub(crate) const CH_LW_ADD: u8 = 7;
 /// `lbu + subrr`.
-pub(crate) const CH_LBU_SUB: u8 = 23;
-/// `lw + sllri`.
-pub(crate) const CH_LW_SLLI: u8 = 24;
+pub(crate) const CH_LBU_SUB: u8 = 8;
 /// `sltri + bne` (compare + conditional branch).
-pub(crate) const CH_SLTI_BNE: u8 = 25;
-/// `lw + beq` (a load/branch shape the generic combos do not cover).
-pub(crate) const CH_LW_BEQ: u8 = 26;
+pub(crate) const CH_SLTI_BNE: u8 = 9;
 /// `subrr + addrr`.
-pub(crate) const CH_SUB_ADD: u8 = 27;
-/// `addrr + subrr`.
-pub(crate) const CH_ADD_SUB: u8 = 28;
-/// `subrr + subrr`.
-pub(crate) const CH_SUB_SUB: u8 = 29;
-/// `lw + lw`.
-pub(crate) const CH_LW_LW: u8 = 30;
-/// `sw + sw`.
-pub(crate) const CH_SW_SW: u8 = 31;
-/// `lbu + addrr`.
-pub(crate) const CH_LBU_ADD: u8 = 32;
-/// `addri + addrr`.
-pub(crate) const CH_ADDI_ADD: u8 = 33;
-/// `addrr + srari`.
-pub(crate) const CH_ADD_SRAI: u8 = 34;
+pub(crate) const CH_SUB_ADD: u8 = 10;
 /// `mulrr + addrr`.
-pub(crate) const CH_MUL_ADD: u8 = 35;
+pub(crate) const CH_MUL_ADD: u8 = 11;
 /// `subrr + mulrr`.
-pub(crate) const CH_SUB_MUL: u8 = 36;
+pub(crate) const CH_SUB_MUL: u8 = 12;
 /// `sltrr + subrr`.
-pub(crate) const CH_SLT_SUB: u8 = 37;
+pub(crate) const CH_SLT_SUB: u8 = 13;
 /// `li/addri + sltrr`.
-pub(crate) const CH_ADDI_SLT: u8 = 38;
+pub(crate) const CH_ADDI_SLT: u8 = 14;
 /// `orrr + orrr`.
-pub(crate) const CH_OR_OR: u8 = 39;
-/// `lw + xorrr`.
-pub(crate) const CH_LW_XOR: u8 = 40;
+pub(crate) const CH_OR_OR: u8 = 15;
 /// `srlri + andri`.
-pub(crate) const CH_SRLI_ANDI: u8 = 41;
-/// `mulri + subrr`.
-pub(crate) const CH_MULI_SUB: u8 = 42;
+pub(crate) const CH_SRLI_ANDI: u8 = 16;
 /// `fadd + addri` (float accumulate + induction bump).
-pub(crate) const CH_FADD_ADDI: u8 = 44;
+pub(crate) const CH_FADD_ADDI: u8 = 17;
 /// `fmul + fadd` (multiply-accumulate halves).
-pub(crate) const CH_FMUL_FADD: u8 = 45;
-/// `fadd + fadd`.
-pub(crate) const CH_FADD_FADD: u8 = 46;
-/// `addrr + fld` (address compute feeding an `f64` load).
-pub(crate) const CH_ADD_FLD: u8 = 47;
-/// `fld + fmul`.
-pub(crate) const CH_FLD_FMUL: u8 = 48;
-/// `addri/li + blt`.
-pub(crate) const CH_ADDI_BLT: u8 = 49;
-/// `mulri + mulri`.
-pub(crate) const CH_MULI_MULI: u8 = 50;
-/// `addri + mulri`.
-pub(crate) const CH_ADDI_MULI: u8 = 51;
-/// `subrr + lbu` (the MPEG clamp-and-fetch idiom).
-pub(crate) const CH_SUB_LBU: u8 = 52;
-/// `lbu + lbu` (byte gathers).
-pub(crate) const CH_LBU_LBU: u8 = 53;
-/// `addrr + sllri`.
-pub(crate) const CH_ADD_SLLI: u8 = 54;
-/// `addrr + sw`.
-pub(crate) const CH_ADD_SW: u8 = 55;
-/// `mulri + sllri`.
-pub(crate) const CH_MULI_SLLI: u8 = 56;
-/// `sw + addri`.
-pub(crate) const CH_SW_ADDI: u8 = 57;
-/// `sltrr + xorri`.
-pub(crate) const CH_SLT_XORI: u8 = 58;
-/// `mulrr + subrr`.
-pub(crate) const CH_MUL_SUB: u8 = 59;
+pub(crate) const CH_FMUL_FADD: u8 = 18;
 /// First 3-op chain tag (everything `>=` this retires three instructions).
-pub(crate) const CH3_FIRST: u8 = 0xF0;
+pub(crate) const CH3_FIRST: u8 = 19;
 /// `sllri + addrr + lw`: the full address-generation chain (scaled index
-/// plus base feeding a word load), the heaviest triple in the census.
-pub(crate) const CH3_SLLI_ADD_LW: u8 = 0xF0;
+/// plus base feeding a word load).
+pub(crate) const CH3_SLLI_ADD_LW: u8 = 19;
 /// `addri + sltri + bne`: the canonical loop latch (induction bump,
 /// bound compare, loop-closing branch).
-pub(crate) const CH3_ADDI_SLTI_BNE: u8 = 0xF1;
+pub(crate) const CH3_ADDI_SLTI_BNE: u8 = 20;
 /// `addrr + lw + addrr`: base-plus-index address generation feeding a
 /// load whose result the next add consumes (accumulator idiom).
-pub(crate) const CH3_ADD_LW_ADD: u8 = 0xF2;
-/// `lw + addrr + addrr`: a load whose result feeds a chain of two adds.
-pub(crate) const CH3_LW_ADD_ADD: u8 = 0xF3;
+pub(crate) const CH3_ADD_LW_ADD: u8 = 21;
 /// `andri + sllri + addrr`: mask, scale, and index (the Blowfish S-box
 /// address chain).
-pub(crate) const CH3_ANDI_SLLI_ADD: u8 = 0xF4;
+pub(crate) const CH3_ANDI_SLLI_ADD: u8 = 22;
 /// `sllri + addrr + fld`: the address-generation chain feeding an `f64`
 /// load (the ART float kernel's hot address shape).
-pub(crate) const CH3_SLLI_ADD_FLD: u8 = 0xF5;
-/// `lw + lw + lw`: a run of word loads (the MPEG butterfly gathers).
-pub(crate) const CH3_LW_LW_LW: u8 = 0xF6;
-/// `sw + sw + sw`: a run of word stores (the MPEG butterfly scatters).
-pub(crate) const CH3_SW_SW_SW: u8 = 0xF7;
-/// `addrr + fld + fmul`: address compute, `f64` load, and the multiply
-/// consuming it.
-pub(crate) const CH3_ADD_FLD_FMUL: u8 = 0xF8;
-/// `fld + fmul + fadd`: the float multiply-accumulate chain.
-pub(crate) const CH3_FLD_FMUL_FADD: u8 = 0xF9;
-/// `li/addri + sltrr + subrr`: the GSM saturation idiom (bound, compare,
-/// conditional-subtract setup).
-pub(crate) const CH3_ADDI_SLT_SUB: u8 = 0xFA;
+pub(crate) const CH3_SLLI_ADD_FLD: u8 = 23;
 
-/// One element of a superblock trace: one micro-op — or a **combo pair**
-/// of two adjacent micro-ops retired by a single dispatch — plus the
+/// One element of a superblock trace: one micro-op — or a **chain** of
+/// two or three adjacent micro-ops retired by a single dispatch — plus the
 /// instruction indices they were lifted from, so hooks, profiling, and
 /// `pc` reconstruction stay 1:1 with the source program. 32 bytes, laid
 /// out densely per trace.
@@ -440,7 +340,7 @@ pub(crate) const CH3_ADDI_SLT_SUB: u8 = 0xFA;
 ///   the next trace element starts at this element's last instruction
 ///   plus one, so a fall-through retirement stays inside the trace
 ///   without any bounds or index check.
-/// * `op2.fuse` is the **combo tag** (`COMBO_*`): which fused-pair arm
+/// * `op2.fuse` is the **chain tag** (`CH_*`/`CH3_*`): which chain arm
 ///   executes this element, or [`COMBO_NONE`] for a single op.
 ///
 /// Control transfers use the universal continuation rule instead: the
@@ -448,11 +348,11 @@ pub(crate) const CH3_ADDI_SLT_SUB: u8 = 0xFA;
 /// (sound for any linearization — traced-through jumps and call returns
 /// compare equal, side exits compare unequal).
 ///
-/// Combo pairs keep per-instruction observability exactly: both halves
-/// bump `icount`/`exec_counts` individually, writebacks flow through the
+/// Chains keep per-instruction observability exactly: every constituent
+/// bumps `icount`/`exec_counts` individually, writebacks flow through the
 /// hook in program order with their own instruction indices, and a crash
-/// in either half reports that half's `pc`. `li` halves are normalized to
-/// `addi rd, $zero, imm` so the ALU arms cover them.
+/// in any constituent reports that instruction's `pc`. `li` halves are
+/// normalized to `addi rd, $zero, imm` so the `addri` chains cover them.
 #[derive(Debug, Clone, Copy)]
 #[repr(align(32))]
 pub(crate) struct SuperOp {
@@ -460,10 +360,11 @@ pub(crate) struct SuperOp {
     pub(crate) op: MicroOp,
     /// Original instruction index of `op`.
     pub(crate) at: u32,
-    /// Second micro-op of a combo pair (`fuse` = combo tag); `Nop` with
-    /// tag [`COMBO_NONE`] for single elements.
+    /// Second micro-op of a chain (`fuse` = chain tag); `Nop` with tag
+    /// [`COMBO_NONE`] for single elements.
     pub(crate) op2: MicroOp,
-    /// Original instruction index of `op2` (meaningful only for combos).
+    /// Original instruction index of the chain's last instruction
+    /// (meaningful only for chains).
     pub(crate) at2: u32,
 }
 
@@ -484,7 +385,7 @@ impl SuperOp {
 pub(crate) struct Superblock {
     /// First trace element in the arena.
     pub(crate) start: u32,
-    /// Trace length in elements (combo pairs count once).
+    /// Trace length in elements (chains count once).
     pub(crate) elems: u32,
     /// Trace length in **instructions** — the exact upper bound on what
     /// one pass through the trace can retire, which is what the dispatch
@@ -507,12 +408,8 @@ pub struct SuperblockPolicy {
     pub max_len: usize,
     /// Optional per-instruction execution counts from a profiled run
     /// (e.g. the campaign's golden run): when present, only block entries
-    /// with at least [`SuperblockPolicy::hot_threshold`] recorded
-    /// executions get trace bodies.
+    /// that executed at least once get trace bodies.
     pub hot_counts: Option<Vec<u64>>,
-    /// Minimum entry execution count for [`SuperblockPolicy::hot_counts`]
-    /// seeding.
-    pub hot_threshold: u64,
 }
 
 impl Default for SuperblockPolicy {
@@ -526,7 +423,6 @@ impl Default for SuperblockPolicy {
             // fall back to fused dispatch mid-iteration).
             max_len: 384,
             hot_counts: None,
-            hot_threshold: 1,
         }
     }
 }
@@ -572,7 +468,7 @@ pub struct DecodedProgram {
     /// else the superblock id plus one. Only basic-block entry points are
     /// ever non-zero.
     sb_entry: Vec<u32>,
-    /// Trace elements carrying a specialized chain tag (diagnostics).
+    /// Trace elements carrying a chain tag (diagnostics).
     sb_specialized: usize,
 }
 
@@ -605,10 +501,7 @@ impl DecodedProgram {
             }
         }
         let (superblocks, sb_ops, sb_entry) = build_superblocks(program, &ops, policy);
-        let sb_specialized = sb_ops
-            .iter()
-            .filter(|s| s.op2.fuse >= CH_FIRST && s.op2.fuse != COMBO_ANY_ANY)
-            .count();
+        let sb_specialized = sb_ops.iter().filter(|s| s.op2.fuse != COMBO_NONE).count();
         DecodedProgram {
             ops,
             fpool,
@@ -651,10 +544,10 @@ impl DecodedProgram {
         self.sb_ops.len()
     }
 
-    /// Trace elements executed by a specialized chain handler — a
-    /// census-dominant concrete 2- or 3-op sequence with its own
-    /// straight-line arm in the trace executor (diagnostics; lets the
-    /// tuning harness and tests verify specialization actually fires).
+    /// Trace elements executed by a chain handler — a concrete 2- or 3-op
+    /// sequence with its own straight-line arm in the trace executor
+    /// (diagnostics; lets the tuning harness and tests verify chains
+    /// actually fire).
     #[must_use]
     pub fn superblock_specialized(&self) -> usize {
         self.sb_specialized
@@ -679,95 +572,6 @@ impl DecodedProgram {
     pub(crate) fn sb_entry(&self) -> &[u32] {
         &self.sb_entry
     }
-
-    /// Trace-element mix: how many elements execute through each combo
-    /// class or specialized chain arm, optionally weighted by per-head
-    /// execution counts from a profiled run (diagnostics for the tuning
-    /// harness: the heaviest *generic* rows are the next specialization
-    /// candidates). Sorted heaviest first.
-    #[must_use]
-    pub fn element_mix(&self, exec_counts: Option<&[u64]>) -> Vec<(String, u64)> {
-        let mut mix: std::collections::HashMap<String, u64> = std::collections::HashMap::new();
-        for s in &self.sb_ops {
-            let weight =
-                exec_counts.map_or(1, |c| c.get(s.at as usize).copied().unwrap_or(0));
-            if weight == 0 {
-                continue;
-            }
-            let name = match s.op2.fuse {
-                COMBO_NONE => format!("single:{}", mop_name(s.op.op)),
-                COMBO_ALU_ALU | COMBO_ALU_LOAD | COMBO_LOAD_ALU | COMBO_ALU_BRANCH
-                | COMBO_ALU_STORE | COMBO_STORE_ALU | COMBO_STORE_STORE => {
-                    format!("generic:{}+{}", mop_name(s.op.op), mop_name(s.op2.op))
-                }
-                COMBO_ANY_ANY => {
-                    format!("any:{}+{}", mop_name(s.op.op), mop_name(s.op2.op))
-                }
-                tag => format!("chain:{tag}"),
-            };
-            *mix.entry(name).or_default() += weight;
-        }
-        let mut out: Vec<(String, u64)> = mix.into_iter().collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out
-    }
-}
-
-/// Lowercase display name of a micro-op for census reporting
-/// (`AddRI` → `addri`).
-fn mop_name(op: MOp) -> String {
-    format!("{op:?}").to_lowercase()
-}
-
-/// Dynamic-count-weighted census of concrete 2- and 3-op sequences: every
-/// fall-through-adjacent opcode pair (and triple) in the instruction
-/// stream, keyed by the concrete micro-op names joined with `+`, weighted
-/// by the *minimum* execution count across the members when `counts` are
-/// given (approximating how often the whole chain retires together) and by
-/// static occurrence otherwise. Sorted by weight, heaviest first.
-///
-/// This is the measurement that decides which chains earn dedicated
-/// specialized handlers (see the `CH_*` tags): the top entries on the
-/// study workloads are the address-generation chains (`sllri+addrr+lw`,
-/// `addri+lw`, `lw+addri`) and compare+branch — exactly the shapes the
-/// specialized arms cover.
-#[must_use]
-pub fn chain_census(program: &Program, counts: Option<&[u64]>) -> Vec<(String, u64)> {
-    let mut fpool = Vec::new();
-    let ops: Vec<MicroOp> = program
-        .code
-        .iter()
-        .map(|instr| decode_instr(instr, &mut fpool))
-        .collect();
-    let weight_of = |i: usize| counts.map_or(1, |c| c.get(i).copied().unwrap_or(0));
-    let mut census: std::collections::HashMap<String, u64> = std::collections::HashMap::new();
-    for i in 0..ops.len() {
-        if !program.code[i].can_fall_through() || i + 1 >= ops.len() {
-            continue;
-        }
-        let w2 = weight_of(i).min(weight_of(i + 1));
-        if w2 > 0 {
-            *census
-                .entry(format!("{}+{}", mop_name(ops[i].op), mop_name(ops[i + 1].op)))
-                .or_default() += w2;
-        }
-        if program.code[i + 1].can_fall_through() && i + 2 < ops.len() {
-            let w3 = w2.min(weight_of(i + 2));
-            if w3 > 0 {
-                *census
-                    .entry(format!(
-                        "{}+{}+{}",
-                        mop_name(ops[i].op),
-                        mop_name(ops[i + 1].op),
-                        mop_name(ops[i + 2].op)
-                    ))
-                    .or_default() += w3;
-            }
-        }
-    }
-    let mut out: Vec<(String, u64)> = census.into_iter().collect();
-    out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    out
 }
 
 /// The superblock pass: walks the [`Cfg`] and lays out one straight-line
@@ -805,7 +609,7 @@ fn build_superblocks(
     for seed in 0..cfg.len() {
         let entry = cfg.blocks[seed].start;
         if let Some(counts) = &policy.hot_counts {
-            if counts.get(entry).copied().unwrap_or(0) < policy.hot_threshold {
+            if counts.get(entry).copied().unwrap_or(0) == 0 {
                 continue;
             }
         }
@@ -926,139 +730,60 @@ fn build_superblocks(
     (superblocks, sb_ops, sb_entry)
 }
 
-/// Whether a micro-op is an integer ALU form (register-register or
-/// register-immediate; the first 32 discriminants).
-fn is_alu(op: MOp) -> bool {
-    (op as u8) < 32
-}
-
-/// Whether a micro-op is an integer load.
-fn is_load(op: MOp) -> bool {
-    matches!(op, MOp::Lb | MOp::Lbu | MOp::Lh | MOp::Lhu | MOp::Lw)
-}
-
-/// Whether a micro-op is an integer store.
-fn is_store(op: MOp) -> bool {
-    matches!(op, MOp::Sb | MOp::Sh | MOp::Sw)
-}
-
-/// Whether a micro-op's only control-flow effects are falling through or
-/// crashing — the head condition for the [`COMBO_ANY_ANY`] catch-all pair
-/// (a taken transfer in the head would have to skip the second half).
-fn always_falls_through(op: MOp) -> bool {
-    !matches!(
-        op,
-        MOp::Beq
-            | MOp::Bne
-            | MOp::Blt
-            | MOp::Bge
-            | MOp::Bltu
-            | MOp::Bgeu
-            | MOp::Jump
-            | MOp::Call
-            | MOp::JumpReg
-            | MOp::Halt
-    )
-}
-
-/// Whether a micro-op is a conditional branch.
-fn is_branch(op: MOp) -> bool {
-    matches!(
-        op,
-        MOp::Beq | MOp::Bne | MOp::Blt | MOp::Bge | MOp::Bltu | MOp::Bgeu
-    )
-}
-
-/// Normalizes `li rd, imm` to `addi rd, $zero, imm` so the generic ALU
-/// combo arms cover it (reading `$zero` yields 0, so the result is `imm`
-/// bit-for-bit, and the writeback path is identical).
-fn alu_normalized(m: MicroOp) -> Option<MicroOp> {
-    if is_alu(m.op) {
-        Some(m)
-    } else if m.op == MOp::Li {
-        Some(MicroOp {
+/// Normalizes `li rd, imm` to `addi rd, $zero, imm` so the `addri` chains
+/// cover it (reading `$zero` yields 0, so the result is `imm`
+/// bit-for-bit, and the writeback path is identical); every other
+/// micro-op passes through unchanged.
+fn li_normalized(m: MicroOp) -> MicroOp {
+    if m.op == MOp::Li {
+        MicroOp {
             op: MOp::AddRI,
             b: 0,
             ..m
-        })
+        }
     } else {
-        None
+        m
     }
 }
 
-/// Specialized-pair matcher: the concrete opcode pairs the census shows
-/// dominate, after `li` normalization. Micro-op fields pass through
-/// verbatim (the specialized handlers read the same layout the generic
-/// arms would).
+/// Pair matcher: the concrete opcode pairs that earn a chain tag, after
+/// `li` normalization. Micro-op fields pass through verbatim.
 fn specialize_pair(m1: MicroOp, m2: MicroOp) -> Option<(u8, MicroOp, MicroOp)> {
-    let n1 = alu_normalized(m1).unwrap_or(m1);
-    let n2 = alu_normalized(m2).unwrap_or(m2);
+    let n1 = li_normalized(m1);
+    let n2 = li_normalized(m2);
     let tag = match (n1.op, n2.op) {
         (MOp::SllRI, MOp::AddRR) => CH_SLLI_ADD,
         (MOp::AddRR, MOp::AddRR) => CH_ADD_ADD,
-        (MOp::AddRI, MOp::SltRI) => CH_ADDI_SLTI,
-        (MOp::SubRR, MOp::SraRI) => CH_SUB_SRAI,
         (MOp::SraRI, MOp::XorRR) => CH_SRAI_XOR,
-        (MOp::XorRR, MOp::SubRR) => CH_XOR_SUB,
-        (MOp::SltRI, MOp::AddRR) => CH_SLTI_ADD,
         (MOp::AddRR, MOp::AddRI) => CH_ADD_ADDI,
         (MOp::MulRI, MOp::AddRR) => CH_MULI_ADD,
-        (MOp::AndRI, MOp::SllRI) => CH_ANDI_SLLI,
         (MOp::AddRR, MOp::Lw) => CH_ADD_LW,
-        (MOp::AddRI, MOp::Lw) => CH_ADDI_LW,
-        (MOp::AddRR, MOp::Lbu) => CH_ADD_LBU,
         (MOp::Lw, MOp::AddRR) => CH_LW_ADD,
-        (MOp::Lw, MOp::AddRI) => CH_LW_ADDI,
         (MOp::Lbu, MOp::SubRR) => CH_LBU_SUB,
-        (MOp::Lw, MOp::SllRI) => CH_LW_SLLI,
         (MOp::SltRI, MOp::Bne) => CH_SLTI_BNE,
-        (MOp::Lw, MOp::Beq) => CH_LW_BEQ,
         (MOp::SubRR, MOp::AddRR) => CH_SUB_ADD,
-        (MOp::AddRR, MOp::SubRR) => CH_ADD_SUB,
-        (MOp::SubRR, MOp::SubRR) => CH_SUB_SUB,
-        (MOp::Lw, MOp::Lw) => CH_LW_LW,
-        (MOp::Sw, MOp::Sw) => CH_SW_SW,
-        (MOp::Lbu, MOp::AddRR) => CH_LBU_ADD,
-        (MOp::AddRI, MOp::AddRR) => CH_ADDI_ADD,
-        (MOp::AddRR, MOp::SraRI) => CH_ADD_SRAI,
         (MOp::MulRR, MOp::AddRR) => CH_MUL_ADD,
         (MOp::SubRR, MOp::MulRR) => CH_SUB_MUL,
         (MOp::SltRR, MOp::SubRR) => CH_SLT_SUB,
         (MOp::AddRI, MOp::SltRR) => CH_ADDI_SLT,
         (MOp::OrRR, MOp::OrRR) => CH_OR_OR,
-        (MOp::Lw, MOp::XorRR) => CH_LW_XOR,
         (MOp::SrlRI, MOp::AndRI) => CH_SRLI_ANDI,
-        (MOp::MulRI, MOp::SubRR) => CH_MULI_SUB,
         (MOp::FAdd, MOp::AddRI) => CH_FADD_ADDI,
         (MOp::FMul, MOp::FAdd) => CH_FMUL_FADD,
-        (MOp::FAdd, MOp::FAdd) => CH_FADD_FADD,
-        (MOp::AddRR, MOp::FLd) => CH_ADD_FLD,
-        (MOp::FLd, MOp::FMul) => CH_FLD_FMUL,
-        (MOp::AddRI, MOp::Blt) => CH_ADDI_BLT,
-        (MOp::MulRI, MOp::MulRI) => CH_MULI_MULI,
-        (MOp::AddRI, MOp::MulRI) => CH_ADDI_MULI,
-        (MOp::SubRR, MOp::Lbu) => CH_SUB_LBU,
-        (MOp::Lbu, MOp::Lbu) => CH_LBU_LBU,
-        (MOp::AddRR, MOp::SllRI) => CH_ADD_SLLI,
-        (MOp::AddRR, MOp::Sw) => CH_ADD_SW,
-        (MOp::MulRI, MOp::SllRI) => CH_MULI_SLLI,
-        (MOp::Sw, MOp::AddRI) => CH_SW_ADDI,
-        (MOp::SltRR, MOp::XorRI) => CH_SLT_XORI,
-        (MOp::MulRR, MOp::SubRR) => CH_MUL_SUB,
         _ => return None,
     };
     Some((tag, n1, n2))
 }
 
-/// Specialized-triple matcher: three *fully sequential* instructions
-/// matching a census-dominant chain collapse into one element. Because a
+/// Triple matcher: three *fully sequential* instructions matching a
+/// 3-op chain collapse into one element. Because a
 /// [`SuperOp`] only carries two micro-ops, the three ops' fields are
 /// re-packed into chain-specific layouts (documented per arm); the match
 /// guards enforce the constraints that make the packing lossless.
 fn specialize_triple(m1: MicroOp, m2: MicroOp, m3: MicroOp) -> Option<(u8, MicroOp, MicroOp)> {
-    let n1 = alu_normalized(m1).unwrap_or(m1);
-    let n2 = alu_normalized(m2).unwrap_or(m2);
-    let n3 = alu_normalized(m3).unwrap_or(m3);
+    let n1 = li_normalized(m1);
+    let n2 = li_normalized(m2);
+    let n3 = li_normalized(m3);
     // Picks the operand of a commutative consumer that is *not* the
     // producer's destination (normalizing "which side reads the chained
     // value"); `None` when the consumer does not read the produced value.
@@ -1148,33 +873,6 @@ fn specialize_triple(m1: MicroOp, m2: MicroOp, m3: MicroOp) -> Option<(u8, Micro
                 },
             ))
         }
-        // `lw d,off(base) ; addrr u,x,y ; addrr v,p,q` — the first add
-        // consumes the loaded value, the second consumes the first's
-        // result. Layout: op = {a:d, b:base, c:y, imm:off},
-        // op2 = {a:u, b:v, c:q, imm:0}.
-        (MOp::Lw, MOp::AddRR, MOp::AddRR) => {
-            let y = other_operand(n2, n1.a)?;
-            let q = other_operand(n3, n2.a)?;
-            Some((
-                CH3_LW_ADD_ADD,
-                MicroOp {
-                    op: MOp::Lw,
-                    fuse: 0,
-                    a: n1.a,
-                    b: n1.b,
-                    c: y,
-                    imm: n1.imm,
-                },
-                MicroOp {
-                    op: MOp::AddRR,
-                    fuse: 0,
-                    a: n2.a,
-                    b: n3.a,
-                    c: q,
-                    imm: 0,
-                },
-            ))
-        }
         // `andri t,s,i1 ; sllri u,x,i2 ; addrr v,p,q` — mask, scale,
         // index; the add consumes the shift's result and both immediates
         // fit i16. Layout: op = {a:t, b:s, c:u, imm: i1 & 0xFFFF | i2 << 16},
@@ -1225,171 +923,21 @@ fn specialize_triple(m1: MicroOp, m2: MicroOp, m3: MicroOp) -> Option<(u8, Micro
                 imm: m3.imm,
             },
         )),
-        // `lw d1,off1(b1) ; lw d2,off2(b2) ; lw d3,off3(b3)` — a gather
-        // run; the two later offsets must fit i16 (packed together).
-        // Layout: op = {a:d1, b:b1, c:d2, imm:off1},
-        //         op2 = {a:b2, b:d3, c:b3, imm: off2 & 0xFFFF | off3 << 16}.
-        (MOp::Lw, MOp::Lw, MOp::Lw)
-            if i16::try_from(m2.imm).is_ok() && i16::try_from(m3.imm).is_ok() =>
-        {
-            Some((
-                CH3_LW_LW_LW,
-                MicroOp {
-                    op: MOp::Lw,
-                    fuse: 0,
-                    a: m1.a,
-                    b: m1.b,
-                    c: m2.a,
-                    imm: m1.imm,
-                },
-                MicroOp {
-                    op: MOp::Lw,
-                    fuse: 0,
-                    a: m2.b,
-                    b: m3.a,
-                    c: m3.b,
-                    imm: (m2.imm & 0xFFFF) | (m3.imm << 16),
-                },
-            ))
-        }
-        // `sw rs1,off1(b1) ; sw rs2,off2(b2) ; sw rs3,off3(b3)` — a
-        // scatter run; same offset packing as the load run.
-        (MOp::Sw, MOp::Sw, MOp::Sw)
-            if i16::try_from(m2.imm).is_ok() && i16::try_from(m3.imm).is_ok() =>
-        {
-            Some((
-                CH3_SW_SW_SW,
-                MicroOp {
-                    op: MOp::Sw,
-                    fuse: 0,
-                    a: m1.a,
-                    b: m1.b,
-                    c: m2.a,
-                    imm: m1.imm,
-                },
-                MicroOp {
-                    op: MOp::Sw,
-                    fuse: 0,
-                    a: m2.b,
-                    b: m3.a,
-                    c: m3.b,
-                    imm: (m2.imm & 0xFFFF) | (m3.imm << 16),
-                },
-            ))
-        }
-        // `addrr u,x,y ; fld fd,off(u) ; fmul fv = fd * fq` — address
-        // compute, f64 load, and the multiply consuming the loaded value.
-        // Layout: op = {a:u, b:x, c:y, imm:off}, op2 = {a:fd, b:fv, c:fq}.
-        // (`f64` multiply is order-sensitive in NaN payloads, so the
-        // loaded value must be the multiply's *first* operand — the
-        // handler replays `fd * fq` exactly.)
-        (MOp::AddRR, MOp::FLd, MOp::FMul) if m2.b == n1.a && m3.b == m2.a => {
-            let fq = m3.c;
-            Some((
-                CH3_ADD_FLD_FMUL,
-                MicroOp {
-                    op: MOp::AddRR,
-                    fuse: 0,
-                    a: n1.a,
-                    b: n1.b,
-                    c: n1.c,
-                    imm: m2.imm,
-                },
-                MicroOp {
-                    op: MOp::FLd,
-                    fuse: 0,
-                    a: m2.a,
-                    b: m3.a,
-                    c: fq,
-                    imm: 0,
-                },
-            ))
-        }
-        // `fld fd,off(b) ; fmul u = fd * t ; fadd v = u + q` — the float
-        // multiply-accumulate chain.
-        // Layout: op = {a:fd, b:b, c:t, imm:off}, op2 = {a:u, b:v, c:q}.
-        // (Positional guards again: `f64` arithmetic NaN payloads are
-        // order-sensitive, so the chained values must be the consumers'
-        // first operands, exactly as the handler replays them.)
-        (MOp::FLd, MOp::FMul, MOp::FAdd) if m2.b == m1.a && m3.b == m2.a => {
-            let t = m2.c;
-            let q = m3.c;
-            Some((
-                CH3_FLD_FMUL_FADD,
-                MicroOp {
-                    op: MOp::FLd,
-                    fuse: 0,
-                    a: m1.a,
-                    b: m1.b,
-                    c: t,
-                    imm: m1.imm,
-                },
-                MicroOp {
-                    op: MOp::FMul,
-                    fuse: 0,
-                    a: m2.a,
-                    b: m3.a,
-                    c: q,
-                    imm: 0,
-                },
-            ))
-        }
-        // `addri/li a1,b1,imm ; sltrr u = x < a1 ; subrr v = q - u` —
-        // the GSM saturation idiom: materialize a bound, compare against
-        // it, then consume the comparison. `slt` and `sub` are not
-        // commutative, so the chained values must sit in the exact
-        // positions the handler replays (bound as the compare's rhs, the
-        // comparison result as the subtract's rhs). Layout:
-        // op = {a:a1, b:b1, c:u, imm:imm}, op2 = {a:x, b:v, c:q, imm:0}.
-        (MOp::AddRI, MOp::SltRR, MOp::SubRR) if n2.c == n1.a && n3.c == n2.a => {
-            let x = n2.b;
-            let q = n3.b;
-            Some((
-                CH3_ADDI_SLT_SUB,
-                MicroOp {
-                    op: MOp::AddRI,
-                    fuse: 0,
-                    a: n1.a,
-                    b: n1.b,
-                    c: n2.a,
-                    imm: n1.imm,
-                },
-                MicroOp {
-                    op: MOp::SltRR,
-                    fuse: 0,
-                    a: x,
-                    b: n3.a,
-                    c: q,
-                    imm: 0,
-                },
-            ))
-        }
         _ => None,
     }
 }
 
 /// The pairing pass: greedily fuses adjacent *sequential* trace
-/// instructions into combo elements, trying specialized 3-op chains
-/// first, then specialized 2-op chains, then the generic classes
-/// (ALU/ALU, ALU/load, load/ALU, ALU/branch). Non-sequential neighbors
-/// (laid across a traced-through jump) and uncovered shapes stay single.
+/// instructions into chain elements, trying 3-op chains first, then 2-op
+/// chains. A neighbour no chain covers — including one laid across a
+/// traced-through jump — is a single element.
 fn pair_trace(trace: &[(MicroOp, u32)], sb_ops: &mut Vec<SuperOp>) {
-    let single = |m: MicroOp, at: u32| {
-        let mut pad = MicroOp::new(MOp::Nop);
-        pad.fuse = COMBO_NONE;
-        SuperOp {
-            op: m,
-            at,
-            op2: pad,
-            at2: at,
-        }
-    };
     let mut k = 0;
     while k < trace.len() {
         let (m1, at1) = trace[k];
-        // Specialized triples: three sequential instructions collapsed
-        // into one element (`at2` = the *last* instruction, so exits and
-        // the sequential post-pass see the chain's true extent).
+        // Triples: three sequential instructions collapsed into one
+        // element (`at2` = the *last* instruction, so exits and the
+        // sequential post-pass see the chain's true extent).
         if let (Some(&(m2, at2)), Some(&(m3, at3))) = (trace.get(k + 1), trace.get(k + 2)) {
             if at2 == at1 + 1 && at3 == at1 + 2 {
                 if let Some((tag, op, mut op2)) = specialize_triple(m1, m2, m3) {
@@ -1405,8 +953,7 @@ fn pair_trace(trace: &[(MicroOp, u32)], sb_ops: &mut Vec<SuperOp>) {
                 }
             }
         }
-        let next = trace.get(k + 1).filter(|&&(_, at2)| at2 == at1 + 1);
-        if let Some(&(m2, at2)) = next {
+        if let Some(&(m2, at2)) = trace.get(k + 1).filter(|&&(_, at2)| at2 == at1 + 1) {
             if let Some((tag, op, mut op2)) = specialize_pair(m1, m2) {
                 op2.fuse = tag;
                 sb_ops.push(SuperOp { op, at: at1, op2, at2 });
@@ -1414,33 +961,16 @@ fn pair_trace(trace: &[(MicroOp, u32)], sb_ops: &mut Vec<SuperOp>) {
                 continue;
             }
         }
-        let combo = next.and_then(|&(m2, at2)| {
-            let pair = match (alu_normalized(m1), alu_normalized(m2)) {
-                (Some(a1), Some(a2)) => (COMBO_ALU_ALU, a1, a2),
-                (Some(a1), None) if is_load(m2.op) => (COMBO_ALU_LOAD, a1, m2),
-                (Some(a1), None) if is_branch(m2.op) => (COMBO_ALU_BRANCH, a1, m2),
-                (Some(a1), None) if is_store(m2.op) => (COMBO_ALU_STORE, a1, m2),
-                (None, Some(a2)) if is_load(m1.op) => (COMBO_LOAD_ALU, m1, a2),
-                (None, Some(a2)) if is_store(m1.op) => (COMBO_STORE_ALU, m1, a2),
-                (None, None) if is_store(m1.op) && is_store(m2.op) => {
-                    (COMBO_STORE_STORE, m1, m2)
-                }
-                _ if always_falls_through(m1.op) => (COMBO_ANY_ANY, m1, m2),
-                _ => return None,
-            };
-            Some((pair, at2))
+        sb_ops.push(SuperOp {
+            op: m1,
+            at: at1,
+            op2: MicroOp {
+                fuse: COMBO_NONE,
+                ..MicroOp::new(MOp::Nop)
+            },
+            at2: at1,
         });
-        match combo {
-            Some(((tag, op, mut op2), at2)) => {
-                op2.fuse = tag;
-                sb_ops.push(SuperOp { op, at: at1, op2, at2 });
-                k += 2;
-            }
-            None => {
-                sb_ops.push(single(m1, at1));
-                k += 1;
-            }
-        }
+        k += 1;
     }
 }
 
@@ -1776,14 +1306,15 @@ mod tests {
     }
 
     #[test]
-    fn pairing_covers_alu_chains_and_normalizes_li() {
+    fn uncovered_neighbours_are_single_elements() {
         let mut a = certa_asm::Asm::new();
         a.func("main", false);
-        a.li(reg::T0, 7); // 0: li -> AddRI against $zero
-        a.addi(reg::T0, reg::T0, 1); // 1
-        a.add(reg::T1, reg::T0, reg::T0); // 2
-        a.sub(reg::T1, reg::T1, reg::T0); // 3
-        a.halt(); // 4
+        a.li(reg::T0, 7); // 0: li -> AddRI against $zero ┐ CH_ADDI_SLT
+        a.slt(reg::T1, reg::T2, reg::T0); // 1             ┘
+        a.xor(reg::T2, reg::T1, reg::T0); // 2: no chain starts with xor+add
+        a.add(reg::T3, reg::T2, reg::T0); // 3 ┐ CH_ADD_ADD
+        a.add(reg::T3, reg::T3, reg::T1); // 4 ┘
+        a.halt(); // 5
         a.endfunc();
         let p = a.assemble().unwrap();
         let d = DecodedProgram::with_policy(
@@ -1795,19 +1326,21 @@ mod tests {
         );
         let id = d.sb_entry()[0];
         let info = d.superblocks()[(id - 1) as usize];
-        assert_eq!(info.instrs, 5);
-        // Four ALU-class ops pair into two combo elements, plus the halt.
-        assert_eq!(info.elems, 3);
+        assert_eq!(info.instrs, 6);
+        assert_eq!(info.elems, 4);
         let body = &d.sb_ops()[info.start as usize..(info.start + info.elems) as usize];
-        assert_eq!(body[0].op2.fuse, COMBO_ALU_ALU);
+        assert_eq!(body[0].op2.fuse, CH_ADDI_SLT);
         assert_eq!(body[0].op.op, MOp::AddRI, "li normalized to addi-from-zero");
         assert_eq!(body[0].op.b, 0);
         assert_eq!(
-            body[1].op2.fuse,
-            CH_ADD_SUB,
-            "add+sub hits its specialized chain arm"
+            (body[1].op.op, body[1].op2.fuse),
+            (MOp::XorRR, COMBO_NONE),
+            "a neighbour no chain covers stays a single element"
         );
-        assert_eq!(body[2].op2.fuse, COMBO_NONE);
+        assert_eq!(body[2].op2.fuse, CH_ADD_ADD);
+        assert_eq!((body[2].at, body[2].at2), (3, 4));
+        assert_eq!((body[3].op.op, body[3].op2.fuse), (MOp::Halt, COMBO_NONE));
+        assert_eq!(d.superblock_specialized(), 2, "the two chains");
     }
 
     #[test]
@@ -1849,9 +1382,8 @@ mod tests {
         assert!(id != 0);
         let info = d.superblocks()[(id - 1) as usize];
         assert_eq!(info.instrs, 15);
-        // The latch triple (addi+addi? no — addi,addi,bnez is not a
-        // specialized triple) still pairs: just verify elements retire
-        // all 15 instructions.
+        // addi, addi, bnez matches no chain, so every element is single;
+        // whatever the grouping, the elements retire all 15 instructions.
         let body = &d.sb_ops()[info.start as usize..(info.start + info.elems) as usize];
         let counted: u32 = body
             .iter()
@@ -1911,7 +1443,7 @@ mod tests {
     fn sequential_flags_reflect_layout() {
         let mut a = certa_asm::Asm::new();
         a.func("main", false);
-        a.fli(reg::F0, 1.0); // 0 (float: pairs via the catch-all combo)
+        a.fli(reg::F0, 1.0); // 0 (float: no chain covers fli, so single)
         a.fli(reg::F1, 2.0); // 1
         a.j("next"); // 2: traced through — non-sequential continuation
         a.label("dead");
@@ -1931,15 +1463,14 @@ mod tests {
         let id = d.sb_entry()[0];
         let info = d.superblocks()[(id - 1) as usize];
         let body = &d.sb_ops()[info.start as usize..(info.start + info.elems) as usize];
-        // {0,1} pair through the catch-all combo and fall sequentially
-        // into 2; the jump's continuation to 4 is NOT sequential (it
-        // continues via the dynamic-target rule); {4,5} (fli+halt) pair,
-        // terminal.
-        assert_eq!(info.elems, 3);
-        assert_eq!(body[0].op2.fuse, COMBO_ANY_ANY);
-        assert_eq!(body[2].op2.fuse, COMBO_ANY_ANY);
+        // Five single elements: 0 and 1 fall sequentially into their
+        // successors; the jump's continuation to 4 is NOT sequential (it
+        // continues via the dynamic-target rule); 4 falls into the halt,
+        // which is terminal.
+        assert_eq!(info.elems, 5);
+        assert!(body.iter().all(|s| s.op2.fuse == COMBO_NONE));
         let flags: Vec<u8> = body.iter().map(|s| s.op.fuse).collect();
-        assert_eq!(flags, [1, 0, 0]);
+        assert_eq!(flags, [1, 1, 0, 1, 0]);
     }
 
     #[test]

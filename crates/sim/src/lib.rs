@@ -47,8 +47,9 @@
 //!    profitable basic-block entry gets a straight-line run of micro-ops
 //!    following fall-through edges, unconditional jumps, and static
 //!    call/return linkage, with conditional branches embedded as side-exit
-//!    guards and adjacent ALU/load/branch ops paired into single-dispatch
-//!    combo elements. The policy picks entries by static trace length or
+//!    guards and adjacent ops that form a measured-hot chain (address
+//!    generation, loop latches, accumulators) retired by one dispatch.
+//!    The policy picks entries by static trace length or
 //!    seeded with a profiled run's `exec_counts` (the fault campaign seeds
 //!    trial machines with the golden run's counts).
 //! 4. **Dispatch** ([`Machine::run`], [`Machine::run_until`]): trace
@@ -65,7 +66,7 @@
 //! seeded random-program generator):
 //!
 //! * every instruction bumps `icount` and per-instruction
-//!   [`Machine::exec_counts`] individually — fused pairs, combo elements,
+//!   [`Machine::exec_counts`] individually — fused pairs, chain elements,
 //!   and traces are invisible in every profile;
 //! * every intermediate writeback flows through the [`WritebackHook`]
 //!   with its own instruction index, in program order, so fault-injection
@@ -139,7 +140,7 @@ mod mem;
 
 pub use aot::{AotCtx, AotExit, AotProgram, NativeWindow};
 pub use certa_asm::DATA_BASE;
-pub use decode::{chain_census, DecodedProgram, SuperblockPolicy};
+pub use decode::{DecodedProgram, SuperblockPolicy};
 pub use machine::{
     BoundedRun, CrashKind, Machine, MachineConfig, MachineError, MemError, NoHook, Outcome,
     RunResult, Snapshot, WritebackHook,

@@ -1621,69 +1621,13 @@ enum SbExit {
     },
 }
 
-/// Evaluates the ALU half of a combo element: the micro-op is one of the
-/// 32 ALU discriminants (register-register below 16, register-immediate
-/// from 16, each block in [`AluOp::ALL`] order — pinned by a decode test),
-/// so the operation and operand-2 source fall out of the discriminant.
-#[inline(always)]
-fn alu_flat(regs: &[u32; 32], m: MicroOp) -> u32 {
-    let d = m.op as u8;
-    let lhs = regs[(m.b & 31) as usize];
-    let rhs = if d < 16 {
-        regs[(m.c & 31) as usize]
-    } else {
-        m.imm as u32
-    };
-    eval_alu(AluOp::ALL[(d & 15) as usize], lhs, rhs)
-}
-
-/// Evaluates the load half of a combo element.
-#[inline(always)]
-fn load_flat(mem: &PagedMem, addr: u32, op: MOp) -> Result<u32, CrashKind> {
-    match op {
-        MOp::Lb => load_mem(mem, addr, MemWidth::Byte, true),
-        MOp::Lbu => load_mem(mem, addr, MemWidth::Byte, false),
-        MOp::Lh => load_mem(mem, addr, MemWidth::Half, true),
-        MOp::Lhu => load_mem(mem, addr, MemWidth::Half, false),
-        _ => load_mem(mem, addr, MemWidth::Word, false),
-    }
-}
-
-/// Evaluates the store half of a combo element.
-#[inline(always)]
-fn store_flat(
-    mem: &mut PagedMem,
-    addr: u32,
-    op: MOp,
-    value: u32,
-) -> Result<(), CrashKind> {
-    match op {
-        MOp::Sb => store_mem(mem, addr, MemWidth::Byte, value),
-        MOp::Sh => store_mem(mem, addr, MemWidth::Half, value),
-        _ => store_mem(mem, addr, MemWidth::Word, value),
-    }
-}
-
-/// Evaluates the conditional-branch half of a combo element.
-#[inline(always)]
-fn branch_flat(op: MOp, a: u32, b: u32) -> bool {
-    match op {
-        MOp::Beq => a == b,
-        MOp::Bne => a != b,
-        MOp::Blt => (a as i32) < (b as i32),
-        MOp::Bge => (a as i32) >= (b as i32),
-        MOp::Bltu => a < b,
-        _ => a >= b,
-    }
-}
-
 /// Executes one superblock trace to its first exit. The caller has already
 /// proven the full trace (in instructions) fits below the watchdog/pause
 /// boundary, so the body runs with no per-instruction fetch, bounds, or
 /// boundary checks — only the element dispatch itself, plus `exec_counts`
 /// updates when `PROFILE` (profiling indices must stay exact per
-/// instruction). Combo elements retire two instructions per dispatch,
-/// with both halves individually counted, hooked, and crash-precise.
+/// instruction). Chain elements retire two or three instructions per
+/// dispatch, each individually counted, hooked, and crash-precise.
 ///
 /// Continuation rules (see [`SuperOp`]):
 ///
@@ -1715,18 +1659,10 @@ fn run_superblock<H: WritebackHook, const PROFILE: bool>(
     fpool: &[f64],
 ) -> SbExit {
     use crate::decode::{
-        CH3_FIRST, CH3_SLLI_ADD_LW, CH_ADDI_ADD, CH_ADDI_LW, CH_ADDI_SLT, CH_ADDI_SLTI,
-        CH_ADD_ADD, CH_ADD_ADDI, CH_ADD_LBU, CH_ADD_LW, CH_ADD_SRAI, CH_ADD_SUB, CH_ANDI_SLLI,
-        CH_LBU_ADD, CH_LBU_SUB, CH_LW_ADD, CH_LW_ADDI, CH_LW_BEQ, CH_LW_LW, CH_LW_SLLI,
-        CH_LW_XOR, CH_MULI_ADD, CH_MULI_SUB, CH_MUL_ADD, CH_OR_OR, CH_SLLI_ADD, CH_SLTI_ADD,
-        CH_SLTI_BNE, CH_SLT_SUB, CH_SRAI_XOR, CH_SRLI_ANDI, CH_SUB_ADD, CH_SUB_MUL, CH_SUB_SRAI,
-        CH_ADDI_BLT, CH_ADDI_MULI, CH_ADD_SLLI, CH_ADD_SW, CH_LBU_LBU, CH_MULI_SLLI,
-        CH_MUL_SUB, CH_SLT_XORI, CH_SUB_LBU, CH_SW_ADDI, CH_FADD_ADDI, CH_FADD_FADD, CH_FLD_FMUL, CH_FMUL_FADD,
-        CH_MULI_MULI, CH_ADD_FLD, CH_SUB_SUB, CH3_ADDI_SLTI_BNE, CH3_ADDI_SLT_SUB,
-        CH_SW_SW, CH_XOR_SUB, CH3_ADD_FLD_FMUL, CH3_ADD_LW_ADD, CH3_ANDI_SLLI_ADD,
-        CH3_FLD_FMUL_FADD, CH3_LW_ADD_ADD, CH3_LW_LW_LW, CH3_SLLI_ADD_FLD, CH3_SW_SW_SW,
-        COMBO_ALU_ALU, COMBO_ALU_BRANCH, COMBO_ALU_LOAD, COMBO_ALU_STORE, COMBO_ANY_ANY,
-        COMBO_LOAD_ALU, COMBO_NONE, COMBO_STORE_ALU, COMBO_STORE_STORE,
+        CH3_ADDI_SLTI_BNE, CH3_ADD_LW_ADD, CH3_ANDI_SLLI_ADD, CH3_FIRST, CH3_SLLI_ADD_FLD,
+        CH3_SLLI_ADD_LW, CH_ADDI_SLT, CH_ADD_ADD, CH_ADD_ADDI, CH_ADD_LW, CH_FADD_ADDI,
+        CH_FMUL_FADD, CH_LBU_SUB, CH_LW_ADD, CH_MULI_ADD, CH_MUL_ADD, CH_OR_OR, CH_SLLI_ADD,
+        CH_SLTI_BNE, CH_SLT_SUB, CH_SRAI_XOR, CH_SRLI_ANDI, CH_SUB_ADD, CH_SUB_MUL, COMBO_NONE,
     };
     let mut i = 0usize;
     let mut retired = 0u64;
@@ -1763,7 +1699,7 @@ fn run_superblock<H: WritebackHook, const PROFILE: bool>(
         }};
     }
     // -----------------------------------------------------------------
-    // Specialized chain halves (see the `CH_*` tags in `decode.rs`): the
+    // Chain halves (see the `CH_*` tags in `decode.rs`): the
     // ALU operation, operand form, load width/sign, and branch condition
     // are all static, so each expansion is straight-line code — no
     // `AluOp::ALL` jump table, no width dispatch. Every half still reads
@@ -1813,51 +1749,12 @@ fn run_superblock<H: WritebackHook, const PROFILE: bool>(
         }};
     }
     /// Constant-width load as the chain's *first* half (a crash un-counts
-    /// the never-executed second half, like the generic load/ALU arm).
+    /// the never-executed second half).
     macro_rules! chain_ld1 {
         ($s:expr, $width:expr, $signed:expr) => {{
             let addr = regs[($s.op.b & 31) as usize].wrapping_add($s.op.imm as u32);
             match load_mem(mem, addr, $width, $signed) {
                 Ok(v) => wint(regs, vp, hook, $s.at as usize, $s.op.a, v),
-                Err(kind) => {
-                    retired -= 1;
-                    if PROFILE {
-                        exec_counts[$s.at2 as usize] -= 1;
-                    }
-                    break 'exec SbExit::Done {
-                        executed: retired,
-                        final_pc: u64::from($s.at),
-                        outcome: Outcome::Crashed(kind),
-                    };
-                }
-            }
-        }};
-    }
-    /// Constant-width store as the chain's *second* half (stores are not
-    /// value-producing: no hook, no `vp` bump — exactly like the single-op
-    /// arms).
-    macro_rules! chain_st2 {
-        ($s:expr, $width:expr) => {{
-            let addr = regs[($s.op2.b & 31) as usize].wrapping_add($s.op2.imm as u32);
-            match store_mem(mem, addr, $width, regs[($s.op2.a & 31) as usize]) {
-                Ok(()) => {}
-                Err(kind) => {
-                    break 'exec SbExit::Done {
-                        executed: retired,
-                        final_pc: u64::from($s.at2),
-                        outcome: Outcome::Crashed(kind),
-                    }
-                }
-            }
-        }};
-    }
-    /// Constant-width store as the chain's *first* half (a crash un-counts
-    /// the never-executed second half).
-    macro_rules! chain_st1 {
-        ($s:expr, $width:expr) => {{
-            let addr = regs[($s.op.b & 31) as usize].wrapping_add($s.op.imm as u32);
-            match store_mem(mem, addr, $width, regs[($s.op.a & 31) as usize]) {
-                Ok(()) => {}
                 Err(kind) => {
                     retired -= 1;
                     if PROFILE {
@@ -1886,7 +1783,7 @@ fn run_superblock<H: WritebackHook, const PROFILE: bool>(
             }
         }};
     }
-    /// One trace element (single or combo pair): each expansion is a
+    /// One trace element (single or chain): each expansion is a
     /// distinct set of inlined dispatch sites, and the loop body expands
     /// it four times so consecutive elements rotate across four
     /// branch-predictor sites — the same courtesy the fused tier gets
@@ -1895,8 +1792,8 @@ fn run_superblock<H: WritebackHook, const PROFILE: bool>(
     macro_rules! element {
         () => {{
         let s = &body[i];
-        let combo = s.op2.fuse;
-        if combo == COMBO_NONE {
+        let tag = s.op2.fuse;
+        if tag == COMBO_NONE {
             retired += 1;
             if PROFILE {
                 exec_counts[s.at as usize] += 1;
@@ -1920,10 +1817,10 @@ fn run_superblock<H: WritebackHook, const PROFILE: bool>(
                 }
             }
         } else {
-        // Combo pair or specialized chain: one dispatch, two (or three)
+        // Chain: one dispatch, two (or three)
         // architecturally distinct retirements (separate
         // icount/profile/hook events per constituent instruction).
-        if combo >= CH3_FIRST {
+        if tag >= CH3_FIRST {
             retired += 3;
             if PROFILE {
                 exec_counts[s.at as usize] += 1;
@@ -1937,175 +1834,8 @@ fn run_superblock<H: WritebackHook, const PROFILE: bool>(
                 exec_counts[s.at2 as usize] += 1;
             }
         }
-        match combo {
-            COMBO_ALU_ALU => {
-                let v1 = alu_flat(regs, s.op);
-                wint(regs, vp, hook, s.at as usize, s.op.a, v1);
-                let v2 = alu_flat(regs, s.op2);
-                wint(regs, vp, hook, s.at2 as usize, s.op2.a, v2);
-                exit_seq!(s, s.at2);
-            }
-            COMBO_ALU_LOAD => {
-                let v1 = alu_flat(regs, s.op);
-                wint(regs, vp, hook, s.at as usize, s.op.a, v1);
-                let addr = regs[(s.op2.b & 31) as usize].wrapping_add(s.op2.imm as u32);
-                match load_flat(mem, addr, s.op2.op) {
-                    Ok(v) => {
-                        wint(regs, vp, hook, s.at2 as usize, s.op2.a, v);
-                        exit_seq!(s, s.at2);
-                    }
-                    Err(kind) => {
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at2),
-                            outcome: Outcome::Crashed(kind),
-                        }
-                    }
-                }
-            }
-            COMBO_LOAD_ALU => {
-                let addr = regs[(s.op.b & 31) as usize].wrapping_add(s.op.imm as u32);
-                match load_flat(mem, addr, s.op.op) {
-                    Ok(v) => wint(regs, vp, hook, s.at as usize, s.op.a, v),
-                    Err(kind) => {
-                        // The first half crashed: the second never
-                        // executed (and must not be counted).
-                        retired -= 1;
-                        if PROFILE {
-                            exec_counts[s.at2 as usize] -= 1;
-                        }
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at),
-                            outcome: Outcome::Crashed(kind),
-                        };
-                    }
-                }
-                let v2 = alu_flat(regs, s.op2);
-                wint(regs, vp, hook, s.at2 as usize, s.op2.a, v2);
-                exit_seq!(s, s.at2);
-            }
-            COMBO_ALU_BRANCH => {
-                let v1 = alu_flat(regs, s.op);
-                wint(regs, vp, hook, s.at as usize, s.op.a, v1);
-                let a = regs[(s.op2.a & 31) as usize];
-                let b = regs[(s.op2.b & 31) as usize];
-                if branch_flat(s.op2.op, a, b) {
-                    exit_jump!(u64::from(s.op2.imm as u32));
-                } else {
-                    exit_seq!(s, s.at2);
-                }
-            }
-            COMBO_ANY_ANY => {
-                // Catch-all pair: both halves through the full single-op
-                // executor — the trace-tier mirror of the fused tier's
-                // dynamic pairing. The builder guarantees the head either
-                // falls through or crashes.
-                match exec_op(regs, fregs, mem, vp, hook, s.at as usize, s.op, fpool) {
-                    Step::Next => {}
-                    Step::Crash(kind) => {
-                        // The head crashed: the second half never executed
-                        // (and must not be counted).
-                        retired -= 1;
-                        if PROFILE {
-                            exec_counts[s.at2 as usize] -= 1;
-                        }
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at),
-                            outcome: Outcome::Crashed(kind),
-                        };
-                    }
-                    Step::Jump(_) | Step::Halt => {
-                        unreachable!("ANY_ANY head always falls through or crashes")
-                    }
-                }
-                match exec_op(regs, fregs, mem, vp, hook, s.at2 as usize, s.op2, fpool) {
-                    Step::Next => exit_seq!(s, s.at2),
-                    Step::Jump(t) => exit_jump!(t),
-                    Step::Halt => {
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at2),
-                            outcome: Outcome::Halted,
-                        }
-                    }
-                    Step::Crash(kind) => {
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at2),
-                            outcome: Outcome::Crashed(kind),
-                        }
-                    }
-                }
-            }
-            COMBO_ALU_STORE => {
-                let v1 = alu_flat(regs, s.op);
-                wint(regs, vp, hook, s.at as usize, s.op.a, v1);
-                let addr = regs[(s.op2.b & 31) as usize].wrapping_add(s.op2.imm as u32);
-                match store_flat(mem, addr, s.op2.op, regs[(s.op2.a & 31) as usize]) {
-                    Ok(()) => exit_seq!(s, s.at2),
-                    Err(kind) => {
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at2),
-                            outcome: Outcome::Crashed(kind),
-                        }
-                    }
-                }
-            }
-            COMBO_STORE_ALU => {
-                let addr = regs[(s.op.b & 31) as usize].wrapping_add(s.op.imm as u32);
-                match store_flat(mem, addr, s.op.op, regs[(s.op.a & 31) as usize]) {
-                    Ok(()) => {}
-                    Err(kind) => {
-                        // The first half crashed: the second never
-                        // executed (and must not be counted).
-                        retired -= 1;
-                        if PROFILE {
-                            exec_counts[s.at2 as usize] -= 1;
-                        }
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at),
-                            outcome: Outcome::Crashed(kind),
-                        };
-                    }
-                }
-                let v2 = alu_flat(regs, s.op2);
-                wint(regs, vp, hook, s.at2 as usize, s.op2.a, v2);
-                exit_seq!(s, s.at2);
-            }
-            COMBO_STORE_STORE => {
-                let addr = regs[(s.op.b & 31) as usize].wrapping_add(s.op.imm as u32);
-                match store_flat(mem, addr, s.op.op, regs[(s.op.a & 31) as usize]) {
-                    Ok(()) => {}
-                    Err(kind) => {
-                        retired -= 1;
-                        if PROFILE {
-                            exec_counts[s.at2 as usize] -= 1;
-                        }
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at),
-                            outcome: Outcome::Crashed(kind),
-                        };
-                    }
-                }
-                let addr = regs[(s.op2.b & 31) as usize].wrapping_add(s.op2.imm as u32);
-                match store_flat(mem, addr, s.op2.op, regs[(s.op2.a & 31) as usize]) {
-                    Ok(()) => exit_seq!(s, s.at2),
-                    Err(kind) => {
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at2),
-                            outcome: Outcome::Crashed(kind),
-                        }
-                    }
-                }
-            }
-            // --- specialized 2-op chains (census-dominant concrete
-            // opcode pairs; straight-line, no inner dispatch) ---
+        match tag {
+            // --- 2-op chains (straight-line, no inner dispatch) ---
             CH_SLLI_ADD => {
                 chain_alu!(s, op1, ri, AluOp::Sll);
                 chain_alu!(s, op2, rr, AluOp::Add);
@@ -2116,29 +1846,9 @@ fn run_superblock<H: WritebackHook, const PROFILE: bool>(
                 chain_alu!(s, op2, rr, AluOp::Add);
                 exit_seq!(s, s.at2);
             }
-            CH_ADDI_SLTI => {
-                chain_alu!(s, op1, ri, AluOp::Add);
-                chain_alu!(s, op2, ri, AluOp::Slt);
-                exit_seq!(s, s.at2);
-            }
-            CH_SUB_SRAI => {
-                chain_alu!(s, op1, rr, AluOp::Sub);
-                chain_alu!(s, op2, ri, AluOp::Sra);
-                exit_seq!(s, s.at2);
-            }
             CH_SRAI_XOR => {
                 chain_alu!(s, op1, ri, AluOp::Sra);
                 chain_alu!(s, op2, rr, AluOp::Xor);
-                exit_seq!(s, s.at2);
-            }
-            CH_XOR_SUB => {
-                chain_alu!(s, op1, rr, AluOp::Xor);
-                chain_alu!(s, op2, rr, AluOp::Sub);
-                exit_seq!(s, s.at2);
-            }
-            CH_SLTI_ADD => {
-                chain_alu!(s, op1, ri, AluOp::Slt);
-                chain_alu!(s, op2, rr, AluOp::Add);
                 exit_seq!(s, s.at2);
             }
             CH_ADD_ADDI => {
@@ -2151,24 +1861,9 @@ fn run_superblock<H: WritebackHook, const PROFILE: bool>(
                 chain_alu!(s, op2, rr, AluOp::Add);
                 exit_seq!(s, s.at2);
             }
-            CH_ANDI_SLLI => {
-                chain_alu!(s, op1, ri, AluOp::And);
-                chain_alu!(s, op2, ri, AluOp::Sll);
-                exit_seq!(s, s.at2);
-            }
             CH_ADD_LW => {
                 chain_alu!(s, op1, rr, AluOp::Add);
                 chain_ld2!(s, MemWidth::Word, false);
-                exit_seq!(s, s.at2);
-            }
-            CH_ADDI_LW => {
-                chain_alu!(s, op1, ri, AluOp::Add);
-                chain_ld2!(s, MemWidth::Word, false);
-                exit_seq!(s, s.at2);
-            }
-            CH_ADD_LBU => {
-                chain_alu!(s, op1, rr, AluOp::Add);
-                chain_ld2!(s, MemWidth::Byte, false);
                 exit_seq!(s, s.at2);
             }
             CH_LW_ADD => {
@@ -2176,67 +1871,18 @@ fn run_superblock<H: WritebackHook, const PROFILE: bool>(
                 chain_alu!(s, op2, rr, AluOp::Add);
                 exit_seq!(s, s.at2);
             }
-            CH_LW_ADDI => {
-                chain_ld1!(s, MemWidth::Word, false);
-                chain_alu!(s, op2, ri, AluOp::Add);
-                exit_seq!(s, s.at2);
-            }
             CH_LBU_SUB => {
                 chain_ld1!(s, MemWidth::Byte, false);
                 chain_alu!(s, op2, rr, AluOp::Sub);
-                exit_seq!(s, s.at2);
-            }
-            CH_LW_SLLI => {
-                chain_ld1!(s, MemWidth::Word, false);
-                chain_alu!(s, op2, ri, AluOp::Sll);
                 exit_seq!(s, s.at2);
             }
             CH_SLTI_BNE => {
                 chain_alu!(s, op1, ri, AluOp::Slt);
                 chain_br2!(s, |x, y| x != y);
             }
-            CH_LW_BEQ => {
-                chain_ld1!(s, MemWidth::Word, false);
-                chain_br2!(s, |x, y| x == y);
-            }
             CH_SUB_ADD => {
                 chain_alu!(s, op1, rr, AluOp::Sub);
                 chain_alu!(s, op2, rr, AluOp::Add);
-                exit_seq!(s, s.at2);
-            }
-            CH_ADD_SUB => {
-                chain_alu!(s, op1, rr, AluOp::Add);
-                chain_alu!(s, op2, rr, AluOp::Sub);
-                exit_seq!(s, s.at2);
-            }
-            CH_SUB_SUB => {
-                chain_alu!(s, op1, rr, AluOp::Sub);
-                chain_alu!(s, op2, rr, AluOp::Sub);
-                exit_seq!(s, s.at2);
-            }
-            CH_LW_LW => {
-                chain_ld1!(s, MemWidth::Word, false);
-                chain_ld2!(s, MemWidth::Word, false);
-                exit_seq!(s, s.at2);
-            }
-            CH_SW_SW => {
-                chain_st1!(s, MemWidth::Word);
-                chain_st2!(s, MemWidth::Word);
-                exit_seq!(s, s.at2);
-            }
-            CH_LBU_ADD => {
-                chain_ld1!(s, MemWidth::Byte, false);
-                chain_alu!(s, op2, rr, AluOp::Add);
-                exit_seq!(s, s.at2);
-            }
-            CH_ADDI_ADD => {
-                chain_alu!(s, op1, ri, AluOp::Add);
-                chain_alu!(s, op2, rr, AluOp::Add);
-                exit_seq!(s, s.at2);
-            }
-            CH_ADD_SRAI => {
-                chain_alu!(s, op1, rr, AluOp::Add);
-                chain_alu!(s, op2, ri, AluOp::Sra);
                 exit_seq!(s, s.at2);
             }
             CH_MUL_ADD => {
@@ -2264,19 +1910,9 @@ fn run_superblock<H: WritebackHook, const PROFILE: bool>(
                 chain_alu!(s, op2, rr, AluOp::Or);
                 exit_seq!(s, s.at2);
             }
-            CH_LW_XOR => {
-                chain_ld1!(s, MemWidth::Word, false);
-                chain_alu!(s, op2, rr, AluOp::Xor);
-                exit_seq!(s, s.at2);
-            }
             CH_SRLI_ANDI => {
                 chain_alu!(s, op1, ri, AluOp::Srl);
                 chain_alu!(s, op2, ri, AluOp::And);
-                exit_seq!(s, s.at2);
-            }
-            CH_MULI_SUB => {
-                chain_alu!(s, op1, ri, AluOp::Mul);
-                chain_alu!(s, op2, rr, AluOp::Sub);
                 exit_seq!(s, s.at2);
             }
             CH_FADD_ADDI => {
@@ -2292,105 +1928,7 @@ fn run_superblock<H: WritebackHook, const PROFILE: bool>(
                 wfloat(fregs, vp, hook, s.at2 as usize, s.op2.a, v2);
                 exit_seq!(s, s.at2);
             }
-            CH_FADD_FADD => {
-                let v1 = fregs[(s.op.b & 31) as usize] + fregs[(s.op.c & 31) as usize];
-                wfloat(fregs, vp, hook, s.at as usize, s.op.a, v1);
-                let v2 = fregs[(s.op2.b & 31) as usize] + fregs[(s.op2.c & 31) as usize];
-                wfloat(fregs, vp, hook, s.at2 as usize, s.op2.a, v2);
-                exit_seq!(s, s.at2);
-            }
-            CH_ADD_FLD => {
-                chain_alu!(s, op1, rr, AluOp::Add);
-                let addr = regs[(s.op2.b & 31) as usize].wrapping_add(s.op2.imm as u32);
-                match load_f64_mem(mem, addr) {
-                    Ok(v) => {
-                        wfloat(fregs, vp, hook, s.at2 as usize, s.op2.a, v);
-                        exit_seq!(s, s.at2);
-                    }
-                    Err(kind) => {
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at2),
-                            outcome: Outcome::Crashed(kind),
-                        }
-                    }
-                }
-            }
-            CH_SUB_LBU => {
-                chain_alu!(s, op1, rr, AluOp::Sub);
-                chain_ld2!(s, MemWidth::Byte, false);
-                exit_seq!(s, s.at2);
-            }
-            CH_LBU_LBU => {
-                chain_ld1!(s, MemWidth::Byte, false);
-                chain_ld2!(s, MemWidth::Byte, false);
-                exit_seq!(s, s.at2);
-            }
-            CH_ADD_SLLI => {
-                chain_alu!(s, op1, rr, AluOp::Add);
-                chain_alu!(s, op2, ri, AluOp::Sll);
-                exit_seq!(s, s.at2);
-            }
-            CH_ADD_SW => {
-                chain_alu!(s, op1, rr, AluOp::Add);
-                chain_st2!(s, MemWidth::Word);
-                exit_seq!(s, s.at2);
-            }
-            CH_MULI_SLLI => {
-                chain_alu!(s, op1, ri, AluOp::Mul);
-                chain_alu!(s, op2, ri, AluOp::Sll);
-                exit_seq!(s, s.at2);
-            }
-            CH_SW_ADDI => {
-                chain_st1!(s, MemWidth::Word);
-                chain_alu!(s, op2, ri, AluOp::Add);
-                exit_seq!(s, s.at2);
-            }
-            CH_SLT_XORI => {
-                chain_alu!(s, op1, rr, AluOp::Slt);
-                chain_alu!(s, op2, ri, AluOp::Xor);
-                exit_seq!(s, s.at2);
-            }
-            CH_MUL_SUB => {
-                chain_alu!(s, op1, rr, AluOp::Mul);
-                chain_alu!(s, op2, rr, AluOp::Sub);
-                exit_seq!(s, s.at2);
-            }
-            CH_ADDI_BLT => {
-                chain_alu!(s, op1, ri, AluOp::Add);
-                chain_br2!(s, |x: u32, y: u32| (x as i32) < (y as i32));
-            }
-            CH_MULI_MULI => {
-                chain_alu!(s, op1, ri, AluOp::Mul);
-                chain_alu!(s, op2, ri, AluOp::Mul);
-                exit_seq!(s, s.at2);
-            }
-            CH_ADDI_MULI => {
-                chain_alu!(s, op1, ri, AluOp::Add);
-                chain_alu!(s, op2, ri, AluOp::Mul);
-                exit_seq!(s, s.at2);
-            }
-            CH_FLD_FMUL => {
-                let addr = regs[(s.op.b & 31) as usize].wrapping_add(s.op.imm as u32);
-                match load_f64_mem(mem, addr) {
-                    Ok(v) => wfloat(fregs, vp, hook, s.at as usize, s.op.a, v),
-                    Err(kind) => {
-                        retired -= 1;
-                        if PROFILE {
-                            exec_counts[s.at2 as usize] -= 1;
-                        }
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at),
-                            outcome: Outcome::Crashed(kind),
-                        };
-                    }
-                }
-                let v2 = fregs[(s.op2.b & 31) as usize] * fregs[(s.op2.c & 31) as usize];
-                wfloat(fregs, vp, hook, s.at2 as usize, s.op2.a, v2);
-                exit_seq!(s, s.at2);
-            }
-            // --- specialized 3-op chains (field layouts documented at
+            // --- 3-op chains (field layouts documented at
             // `specialize_triple` in decode.rs) ---
             CH3_SLLI_ADD_LW => {
                 // op = {a:t, b:s, c:u, imm:sh}; op2 = {a:x, b:y, c:d, imm:off}.
@@ -2450,40 +1988,6 @@ fn run_superblock<H: WritebackHook, const PROFILE: bool>(
                 wint(regs, vp, hook, s.at2 as usize, s.op2.b, v3);
                 exit_seq!(s, s.at2);
             }
-            CH3_LW_ADD_ADD => {
-                // op = {a:d, b:base, c:y, imm:off}; op2 = {a:u, b:v, c:q}.
-                let addr = regs[(s.op.b & 31) as usize].wrapping_add(s.op.imm as u32);
-                match load_mem(mem, addr, MemWidth::Word, false) {
-                    Ok(v) => wint(regs, vp, hook, s.at as usize, s.op.a, v),
-                    Err(kind) => {
-                        // Crash at the first instruction: neither add
-                        // executed.
-                        retired -= 2;
-                        if PROFILE {
-                            exec_counts[s.at as usize + 1] -= 1;
-                            exec_counts[s.at2 as usize] -= 1;
-                        }
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at),
-                            outcome: Outcome::Crashed(kind),
-                        };
-                    }
-                }
-                let v2 = eval_alu(
-                    AluOp::Add,
-                    regs[(s.op.a & 31) as usize],
-                    regs[(s.op.c & 31) as usize],
-                );
-                wint(regs, vp, hook, s.at as usize + 1, s.op2.a, v2);
-                let v3 = eval_alu(
-                    AluOp::Add,
-                    regs[(s.op2.a & 31) as usize],
-                    regs[(s.op2.c & 31) as usize],
-                );
-                wint(regs, vp, hook, s.at2 as usize, s.op2.b, v3);
-                exit_seq!(s, s.at2);
-            }
             CH3_ANDI_SLLI_ADD => {
                 // op = {a:t, b:s, c:u, imm: i1 & 0xFFFF | i2 << 16};
                 // op2 = {a:x, b:v, c:p}.
@@ -2525,174 +2029,6 @@ fn run_superblock<H: WritebackHook, const PROFILE: bool>(
                         }
                     }
                 }
-            }
-            CH3_LW_LW_LW => {
-                // op = {a:d1, b:b1, c:d2, imm:off1};
-                // op2 = {a:b2, b:d3, c:b3, imm: off2 & 0xFFFF | off3 << 16}.
-                let off2 = i32::from(s.op2.imm as i16);
-                let off3 = s.op2.imm >> 16;
-                let addr = regs[(s.op.b & 31) as usize].wrapping_add(s.op.imm as u32);
-                match load_mem(mem, addr, MemWidth::Word, false) {
-                    Ok(v) => wint(regs, vp, hook, s.at as usize, s.op.a, v),
-                    Err(kind) => {
-                        retired -= 2;
-                        if PROFILE {
-                            exec_counts[s.at as usize + 1] -= 1;
-                            exec_counts[s.at2 as usize] -= 1;
-                        }
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at),
-                            outcome: Outcome::Crashed(kind),
-                        };
-                    }
-                }
-                let addr = regs[(s.op2.a & 31) as usize].wrapping_add(off2 as u32);
-                match load_mem(mem, addr, MemWidth::Word, false) {
-                    Ok(v) => wint(regs, vp, hook, s.at as usize + 1, s.op.c, v),
-                    Err(kind) => {
-                        retired -= 1;
-                        if PROFILE {
-                            exec_counts[s.at2 as usize] -= 1;
-                        }
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at) + 1,
-                            outcome: Outcome::Crashed(kind),
-                        };
-                    }
-                }
-                let addr = regs[(s.op2.c & 31) as usize].wrapping_add(off3 as u32);
-                match load_mem(mem, addr, MemWidth::Word, false) {
-                    Ok(v) => {
-                        wint(regs, vp, hook, s.at2 as usize, s.op2.b, v);
-                        exit_seq!(s, s.at2);
-                    }
-                    Err(kind) => {
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at2),
-                            outcome: Outcome::Crashed(kind),
-                        }
-                    }
-                }
-            }
-            CH3_SW_SW_SW => {
-                // op = {a:rs1, b:b1, c:rs2, imm:off1};
-                // op2 = {a:b2, b:rs3, c:b3, imm: off2 & 0xFFFF | off3 << 16}.
-                let off2 = i32::from(s.op2.imm as i16);
-                let off3 = s.op2.imm >> 16;
-                let addr = regs[(s.op.b & 31) as usize].wrapping_add(s.op.imm as u32);
-                match store_mem(mem, addr, MemWidth::Word, regs[(s.op.a & 31) as usize]) {
-                    Ok(()) => {}
-                    Err(kind) => {
-                        retired -= 2;
-                        if PROFILE {
-                            exec_counts[s.at as usize + 1] -= 1;
-                            exec_counts[s.at2 as usize] -= 1;
-                        }
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at),
-                            outcome: Outcome::Crashed(kind),
-                        };
-                    }
-                }
-                let addr = regs[(s.op2.a & 31) as usize].wrapping_add(off2 as u32);
-                match store_mem(mem, addr, MemWidth::Word, regs[(s.op.c & 31) as usize]) {
-                    Ok(()) => {}
-                    Err(kind) => {
-                        retired -= 1;
-                        if PROFILE {
-                            exec_counts[s.at2 as usize] -= 1;
-                        }
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at) + 1,
-                            outcome: Outcome::Crashed(kind),
-                        };
-                    }
-                }
-                let addr = regs[(s.op2.c & 31) as usize].wrapping_add(off3 as u32);
-                match store_mem(mem, addr, MemWidth::Word, regs[(s.op2.b & 31) as usize]) {
-                    Ok(()) => exit_seq!(s, s.at2),
-                    Err(kind) => {
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at2),
-                            outcome: Outcome::Crashed(kind),
-                        }
-                    }
-                }
-            }
-            CH3_ADD_FLD_FMUL => {
-                // op = {a:u, b:x, c:y, imm:off}; op2 = {a:fd, b:fv, c:fq}.
-                let v1 = eval_alu(
-                    AluOp::Add,
-                    regs[(s.op.b & 31) as usize],
-                    regs[(s.op.c & 31) as usize],
-                );
-                wint(regs, vp, hook, s.at as usize, s.op.a, v1);
-                let addr = regs[(s.op.a & 31) as usize].wrapping_add(s.op.imm as u32);
-                match load_f64_mem(mem, addr) {
-                    Ok(v) => wfloat(fregs, vp, hook, s.at as usize + 1, s.op2.a, v),
-                    Err(kind) => {
-                        retired -= 1;
-                        if PROFILE {
-                            exec_counts[s.at2 as usize] -= 1;
-                        }
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at) + 1,
-                            outcome: Outcome::Crashed(kind),
-                        };
-                    }
-                }
-                let v3 = fregs[(s.op2.a & 31) as usize] * fregs[(s.op2.c & 31) as usize];
-                wfloat(fregs, vp, hook, s.at2 as usize, s.op2.b, v3);
-                exit_seq!(s, s.at2);
-            }
-            CH3_FLD_FMUL_FADD => {
-                // op = {a:fd, b:b, c:t, imm:off}; op2 = {a:u, b:v, c:q}.
-                let addr = regs[(s.op.b & 31) as usize].wrapping_add(s.op.imm as u32);
-                match load_f64_mem(mem, addr) {
-                    Ok(v) => wfloat(fregs, vp, hook, s.at as usize, s.op.a, v),
-                    Err(kind) => {
-                        retired -= 2;
-                        if PROFILE {
-                            exec_counts[s.at as usize + 1] -= 1;
-                            exec_counts[s.at2 as usize] -= 1;
-                        }
-                        break 'exec SbExit::Done {
-                            executed: retired,
-                            final_pc: u64::from(s.at),
-                            outcome: Outcome::Crashed(kind),
-                        };
-                    }
-                }
-                let v2 = fregs[(s.op.a & 31) as usize] * fregs[(s.op.c & 31) as usize];
-                wfloat(fregs, vp, hook, s.at as usize + 1, s.op2.a, v2);
-                let v3 = fregs[(s.op2.a & 31) as usize] + fregs[(s.op2.c & 31) as usize];
-                wfloat(fregs, vp, hook, s.at2 as usize, s.op2.b, v3);
-                exit_seq!(s, s.at2);
-            }
-            CH3_ADDI_SLT_SUB => {
-                // op = {a:a1, b:b1, c:u, imm:imm}; op2 = {a:x, b:v, c:q}.
-                let v1 = eval_alu(AluOp::Add, regs[(s.op.b & 31) as usize], s.op.imm as u32);
-                wint(regs, vp, hook, s.at as usize, s.op.a, v1);
-                let v2 = eval_alu(
-                    AluOp::Slt,
-                    regs[(s.op2.a & 31) as usize],
-                    regs[(s.op.a & 31) as usize],
-                );
-                wint(regs, vp, hook, s.at as usize + 1, s.op.c, v2);
-                let v3 = eval_alu(
-                    AluOp::Sub,
-                    regs[(s.op2.c & 31) as usize],
-                    regs[(s.op.c & 31) as usize],
-                );
-                wint(regs, vp, hook, s.at2 as usize, s.op2.b, v3);
-                exit_seq!(s, s.at2);
             }
             CH3_ADDI_SLTI_BNE => {
                 // op = {a:a1, b:b1, c:a2, imm: i1 & 0xFFFF | i2 << 16};
@@ -4183,5 +3519,142 @@ mod pipeline_tests {
             let mut resumed = Machine::from_snapshot(&p, &snap, &config).unwrap();
             assert_eq!(resumed.run_simple(), expected, "resume at {target}");
         }
+    }
+}
+
+/// One test per chain with a load half: a few-instruction program whose
+/// entry trace carries that chain and whose load faults. The trace tier
+/// must crash exactly as the reference interpreter does — same crash kind
+/// and pc, instruction count, `exec_counts` and hook writebacks.
+#[cfg(test)]
+mod chain_crash_tests {
+    use super::*;
+    use crate::decode::{
+        SuperblockPolicy, CH3_ADD_LW_ADD, CH3_SLLI_ADD_FLD, CH3_SLLI_ADD_LW, CH_ADD_LW, CH_LBU_SUB,
+        CH_LW_ADD,
+    };
+    use certa_asm::Asm;
+    use certa_isa::reg::{F0, T0, T1, T2, T3, V0};
+
+    #[derive(Default)]
+    struct Recorder {
+        ints: Vec<(usize, u32)>,
+        floats: Vec<(usize, u64)>,
+    }
+
+    impl WritebackHook for Recorder {
+        fn int_writeback(&mut self, i: usize, v: u32) -> u32 {
+            self.ints.push((i, v));
+            v
+        }
+        fn float_writeback(&mut self, i: usize, v: f64) -> f64 {
+            self.floats.push((i, v.to_bits()));
+            v
+        }
+    }
+
+    /// Assembles `main` from `build` (plus a closing `halt`), checks that
+    /// its entry trace carries `tag`, and runs it on both tiers.
+    fn crash_matches_reference(tag: u8, build: impl FnOnce(&mut Asm)) {
+        let mut a = Asm::new();
+        a.func("main", false);
+        build(&mut a);
+        a.halt();
+        a.endfunc();
+        let p = a.assemble().unwrap();
+        let decoded = Arc::new(DecodedProgram::with_policy(
+            &p,
+            &SuperblockPolicy {
+                min_len: 1,
+                ..SuperblockPolicy::default()
+            },
+        ));
+        let id = decoded.sb_entry()[0];
+        assert_ne!(id, 0, "the entry block earns a trace");
+        let info = decoded.superblocks()[(id - 1) as usize];
+        let body = &decoded.sb_ops()[info.start as usize..(info.start + info.elems) as usize];
+        assert!(
+            body.iter().any(|s| s.op2.fuse == tag),
+            "the trace carries chain tag {tag}"
+        );
+        let config = MachineConfig {
+            profile: true,
+            ..MachineConfig::default()
+        };
+        let mut sb = Machine::try_new_with_decoded(&p, &decoded, &config).unwrap();
+        let mut reference = Machine::new(&p, &config);
+        let (mut sb_hook, mut ref_hook) = (Recorder::default(), Recorder::default());
+        let got = sb.run(&mut sb_hook);
+        let want = reference.run_reference(&mut ref_hook);
+        assert!(matches!(want.outcome, Outcome::Crashed(_)), "{want:?}");
+        assert_eq!(got, want, "crash kind, icount and value-producing count");
+        assert_eq!(sb.pc, reference.pc, "crash pc");
+        assert_eq!(
+            sb.superblock_instructions(),
+            got.instructions,
+            "the crash struck inside the trace"
+        );
+        assert_eq!(sb.exec_counts(), reference.exec_counts());
+        assert_eq!(sb_hook.ints, ref_hook.ints);
+        assert_eq!(sb_hook.floats, ref_hook.floats);
+    }
+
+    #[test]
+    fn add_lw_second_half_faults_misaligned() {
+        crash_matches_reference(CH_ADD_LW, |a| {
+            let buf = a.data_zero(16);
+            a.la(T0, buf);
+            a.li(T1, 2);
+            a.add(T2, T0, T1); // ┐ CH_ADD_LW
+            a.lw(V0, 0, T2); //   ┘ misaligned word load
+        });
+    }
+
+    #[test]
+    fn lw_add_first_half_faults() {
+        crash_matches_reference(CH_LW_ADD, |a| {
+            a.li(T0, 0x10); // below DATA_BASE
+            a.lw(T1, 0, T0); //     ┐ CH_LW_ADD: faults, so the add
+            a.add(V0, T1, T0); //   ┘ never retires
+        });
+    }
+
+    #[test]
+    fn lbu_sub_first_half_faults() {
+        crash_matches_reference(CH_LBU_SUB, |a| {
+            a.li(T0, 0x10);
+            a.lbu(T1, 0, T0); //    ┐ CH_LBU_SUB
+            a.sub(V0, T0, T1); //   ┘
+        });
+    }
+
+    #[test]
+    fn slli_add_lw_third_op_faults() {
+        crash_matches_reference(CH3_SLLI_ADD_LW, |a| {
+            a.li(T0, 4);
+            a.slli(T1, T0, 2); //   ┐ CH3_SLLI_ADD_LW: 16 + 0 is
+            a.add(T2, T1, T3); //   │ below DATA_BASE
+            a.lw(V0, 0, T2); //     ┘
+        });
+    }
+
+    #[test]
+    fn add_lw_add_middle_op_faults() {
+        crash_matches_reference(CH3_ADD_LW_ADD, |a| {
+            a.li(T0, 0x10);
+            a.add(T1, T0, T3); //   ┐ CH3_ADD_LW_ADD: the load faults,
+            a.lw(T2, 0, T1); //     │ so the accumulating add never
+            a.add(V0, T2, T0); //   ┘ retires
+        });
+    }
+
+    #[test]
+    fn slli_add_fld_third_op_faults() {
+        crash_matches_reference(CH3_SLLI_ADD_FLD, |a| {
+            a.li(T0, 4);
+            a.slli(T1, T0, 2); //   ┐ CH3_SLLI_ADD_FLD
+            a.add(T2, T1, T3); //   │
+            a.fld(F0, 0, T2); //    ┘
+        });
     }
 }
