@@ -120,13 +120,13 @@ fn bench_campaign_throughput(c: &mut Criterion) {
     }
 
     // Restore-path breakdown of the warmup's checkpointed run: how many
-    // trial restores took the dirty-page fast path, the checkpoint-hop
-    // page-diff path (and how many of those hop unions came from the
-    // bounded cache), and the full-image fallback.
+    // trial restores rolled back the checkpoint the machine was based on
+    // (dirty pages only), hopped to another checkpoint, or started from a
+    // base outside the checkpoint set.
     let rs = fast.restore_stats;
     println!(
-        "campaign restores: {} dirty-page, {} diff-hop ({} hop-union cache hits), {} full-image",
-        rs.dirty_page, rs.diff_hop, rs.diff_union_cache_hits, rs.full_image
+        "campaign restores: {} dirty-page, {} diff-hop, {} full-image",
+        rs.dirty_page, rs.diff_hop, rs.full_image
     );
     assert_eq!(
         slow.restore_stats,
@@ -170,8 +170,7 @@ fn bench_campaign_throughput(c: &mut Criterion) {
          \"checkpointing_on_secs\":{:.6},\"checkpointing_off_secs\":{:.6},\
          \"speedup\":{:.3},\"checkpointing_on_mips\":{:.3},\"checkpointing_off_mips\":{:.3},\
          \"trials_per_second\":{:.3},\"checkpoint_capture_bytes\":{},\
-         \"restores_dirty_page\":{},\"restores_diff_hop\":{},\
-         \"restores_diff_union_cache_hits\":{},\"restores_full_image\":{}}}\n",
+         \"restores_dirty_page\":{},\"restores_diff_hop\":{},\"restores_full_image\":{}}}\n",
         golden.instructions,
         campaign_config(true).trials,
         with_checkpoints.as_secs_f64(),
@@ -183,7 +182,6 @@ fn bench_campaign_throughput(c: &mut Criterion) {
         timed.checkpoint_capture_bytes,
         trs.dirty_page,
         trs.diff_hop,
-        trs.diff_union_cache_hits,
         trs.full_image
     );
     match certa_bench::write_bench_json("campaign", &json) {

@@ -157,20 +157,19 @@ fn main() -> ExitCode {
             }
         }
     }
-    // Liveness gate on the paper-scale campaign's hop-union MRU cache: a
-    // table-scale trial count must revisit checkpoint hops often enough to
-    // hit the cache, so a zero hit counter means the cached path silently
-    // regressed to dead code (exactly the failure mode that shipped
-    // unnoticed when the 24-trial bench was the only campaign artifact).
+    // Liveness gate on the paper-scale campaign's cross-checkpoint
+    // restores: a table-scale campaign's workers sweep every checkpoint
+    // group, so a zero count means trial machines never left the
+    // checkpoint they were based on and the timed campaign did not
+    // exercise the one-pass restore between checkpoints.
     let paper_path = root.join("BENCH_campaign_paper.json");
-    match read_metric(&paper_path, "restores_diff_union_cache_hits") {
-        Ok(hits) if hits > 0.0 => {
-            println!("campaign_paper: restores_diff_union_cache_hits {hits:.0} — ok");
+    match read_metric(&paper_path, "restores_diff_hop") {
+        Ok(hops) if hops > 0.0 => {
+            println!("campaign_paper: restores_diff_hop {hops:.0} — ok");
         }
         Ok(_) => {
             eprintln!(
-                "campaign_paper: restores_diff_union_cache_hits is ZERO — the hop-union \
-                 MRU cache path is dead"
+                "campaign_paper: restores_diff_hop is ZERO — no cross-checkpoint restore ran"
             );
             failed = true;
         }

@@ -26,23 +26,24 @@
 //!    its superblock traces, so fewer pauses mean faster trial
 //!    execution). The first probe lands at the first checkpoint past the
 //!    plan's latest injection point; if the states are bit-identical
-//!    ([`Machine::state_eq`] — O(dirty pages) via copy-on-write page
-//!    sharing and per-page hashes) the rest of the run *is* the golden
-//!    run, and the golden outcome/output are spliced in without executing
-//!    the suffix. A trial that has not reconverged backs off
-//!    exponentially (probe gaps 1, 2, 4, … checkpoints): masked flips —
-//!    the common case under protection — splice at the first probe, while
-//!    persistently divergent trials stop paying per-checkpoint pauses.
+//!    ([`Machine::state_eq`] — a pointer compare per page, and a byte
+//!    compare only of the pages the trial does not share with the
+//!    checkpoint) the rest of the run *is* the golden run, and the
+//!    golden outcome/output are spliced in without executing the suffix.
+//!    A trial that has not reconverged backs off exponentially (probe
+//!    gaps 1, 2, 4, … checkpoints): masked flips — the common case under
+//!    protection — splice at the first probe, while persistently
+//!    divergent trials stop paying per-checkpoint pauses.
 //! 4. **Schedules for incremental restore**: worker threads
 //!    ([`std::thread::scope`]) each own one reusable [`Machine`]. Trials
 //!    are sorted by restore checkpoint and injection point, then handed
 //!    out in contiguous *chunks*, so a worker's consecutive trials
 //!    restore the very checkpoint the machine is already based on —
-//!    O(pages the previous trial wrote) of pointer swaps — and the hops
-//!    that remain (between chunk groups) recur across workers, keeping
-//!    the bounded hop-union MRU cache hot. Restores never copy page
-//!    bytes and never allocate: copy-on-write page sharing swaps page
-//!    pointers and recycles displaced pages.
+//!    O(pages the previous trial wrote) of pointer swaps. The hops that
+//!    remain (between checkpoint groups) are one pass over the page
+//!    table that swaps only the pages the two checkpoints do not share.
+//!    Restores never copy page bytes and never allocate: copy-on-write
+//!    page sharing swaps page pointers and recycles displaced pages.
 //! 5. **Shares the golden half**: the golden run, its checkpoints and the
 //!    trial program's lowering to the simulator's micro-op form
 //!    ([`certa_sim::DecodedProgram`]) depend on the target alone, so a
@@ -97,7 +98,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::injector::{Eligibility, ErrorModel, FaultPlan, Injector};
@@ -401,29 +402,23 @@ impl HarnessCounters {
     }
 }
 
-/// How the campaign's trial restores broke down by path (see
-/// [`certa_sim::Machine::restore`] /
-/// [`certa_sim::Machine::restore_with_diff`]): the cheap dirty-page path,
-/// the checkpoint-hopping page-diff path, and the full-image fallback.
-/// All zero for campaigns that run without checkpointing.
+/// How the campaign's trial restores broke down by the trial machine's
+/// base snapshot (see [`certa_sim::Machine::restore`]). All zero for
+/// campaigns that run without checkpointing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RestoreStats {
-    /// Same-checkpoint restores: only the pages the previous trial
-    /// dirtied were copied.
+    /// Restores of the checkpoint the machine was already based on: only
+    /// the pages the previous trial dirtied were swapped back.
     pub dirty_page: u64,
-    /// Checkpoint-hopping restores through page-diff unions (dirty pages
-    /// plus the pages differing along the hop, walked through aligned
-    /// segment waypoints).
+    /// Restores of another checkpoint of this campaign, in one pass over
+    /// the page table that swaps the dirty pages and the pages the two
+    /// checkpoints do not share.
     pub diff_hop: u64,
-    /// Hop segments whose page-diff union came from the bounded
-    /// hop-union MRU cache instead of being re-unioned from adjacent
-    /// diffs. Counted per segment, so a single long diff-hop restore can
-    /// contribute several hits; aligned segment keys recur across
-    /// workers, which is what keeps this nonzero at paper scale (gated
-    /// in CI).
+    /// Always 0. Kept only because the wire codec, journal records and
+    /// their readers carry four restore counters.
     pub diff_union_cache_hits: u64,
-    /// Full-image `memcpy` fallbacks (hop too wide, or the machine's base
-    /// was not a checkpoint of this set).
+    /// Restores onto a machine whose base is outside the checkpoint set
+    /// (same one-pass restore as `diff_hop`).
     pub full_image: u64,
 }
 
@@ -680,15 +675,11 @@ struct Checkpoint {
     exec_counts: Vec<u64>,
 }
 
-/// The golden checkpoints and the page diffs between adjacent pairs:
-/// everything about the checkpoints that no campaign configuration
-/// changes, shared by every campaign built on one [`GoldenSession`].
+/// The golden checkpoints: everything about them that no campaign
+/// configuration changes, shared by every campaign built on one
+/// [`GoldenSession`].
 struct GoldenCheckpoints {
     checkpoints: Vec<Checkpoint>,
-    /// `adjacent_diffs[i]`: pages on which checkpoints `i` and `i + 1`
-    /// differ ([`Snapshot::diff_pages`] — byte-exact, diffs are a restore
-    /// correctness contract).
-    adjacent_diffs: Vec<Vec<u32>>,
     /// Bytes materialized by the captures (see
     /// [`certa_sim::Machine::capture_bytes`]).
     capture_bytes: u64,
@@ -699,79 +690,21 @@ struct GoldenCheckpoints {
 }
 
 impl GoldenCheckpoints {
-    fn new(
-        checkpoints: Vec<Checkpoint>,
-        capture_bytes: u64,
-        budget_bytes: usize,
-        stride: u64,
-    ) -> Self {
-        let adjacent_diffs = checkpoints
-            .windows(2)
-            .map(|w| {
-                w[0].snapshot
-                    .diff_pages(&w[1].snapshot)
-                    .expect("golden checkpoints share one memory size")
-            })
-            .collect();
-        GoldenCheckpoints {
-            checkpoints,
-            adjacent_diffs,
-            capture_bytes,
-            budget_bytes,
-            stride,
-        }
-    }
-
     fn snapshot(&self, index: usize) -> &Snapshot {
         &self.checkpoints[index].snapshot
     }
 }
 
-/// One cached hop union: the `(lo, hi)` checkpoint index pair and the
-/// sorted, deduplicated union of adjacent page diffs along it.
-type HopUnion = ((usize, usize), Arc<Vec<u32>>);
-
-/// Capacity of the hop-union cache: with segmented hops (see
-/// [`CheckpointSet::hop_step`]) the working key set is the
-/// [`HOP_SEGMENT`]-aligned segments of the ≤ [`MAX_CHECKPOINTS`]
-/// checkpoint range plus short partial edges, so a small MRU list covers
-/// it without ever growing with trial count.
-const HOP_CACHE_CAPACITY: usize = 16;
-
-/// Base segment length (in checkpoints) of the aligned waypoints long
-/// hops walk through (see [`CheckpointSet::hop_step`]).
-const HOP_SEGMENT: usize = 4;
-
-/// Largest aligned span a single hop step may cover. Spans double from
-/// [`HOP_SEGMENT`] while they stay aligned and inside the hop (a buddy
-/// decomposition), so a long walk crosses O(log distance) canonical
-/// spans instead of distance/[`HOP_SEGMENT`] segments — and every one of
-/// those spans is a cache key shared by *any* other hop crossing the
-/// same region. Sixteen base segments comfortably covers the
-/// [`MAX_CHECKPOINTS`]-bounded index range.
-const MAX_HOP_SPAN: usize = HOP_SEGMENT << 4;
-
 /// One campaign's view of the golden checkpoints: the eligible writebacks
-/// each had seen under the campaign's regime, plus the restore machinery.
-/// The precomputed adjacent page diffs let a worker machine hopping from
-/// one checkpoint to another copy only the pages that actually differ
-/// along the hop (plus its own dirty pages) instead of the whole memory
-/// image.
+/// each had seen under the campaign's regime, plus the restore counters.
 struct CheckpointSet {
     golden: Arc<GoldenCheckpoints>,
     /// `eligible_seen[i]`: eligible writebacks before checkpoint `i`.
     eligible_seen: Vec<u64>,
-    /// Bounded MRU cache of hop page-diff unions keyed by `(lo, hi)`
-    /// checkpoint index pairs: trial clusters on late checkpoints would
-    /// otherwise re-union the same adjacent diffs once per trial. Shared
-    /// across workers; accessed with `try_lock` so a contended cache
-    /// degrades to per-hop unioning, never to serialization.
-    hop_cache: Mutex<Vec<HopUnion>>,
     /// Restore-path counters (see [`RestoreStats`]), relaxed — they are
     /// diagnostics, aggregated after the scheduler joins.
     dirty_restores: AtomicU64,
     diff_restores: AtomicU64,
-    diff_cache_hits: AtomicU64,
     full_restores: AtomicU64,
 }
 
@@ -786,175 +719,33 @@ impl CheckpointSet {
         CheckpointSet {
             golden,
             eligible_seen,
-            hop_cache: Mutex::new(Vec::with_capacity(HOP_CACHE_CAPACITY)),
             dirty_restores: AtomicU64::new(0),
             diff_restores: AtomicU64::new(0),
-            diff_cache_hits: AtomicU64::new(0),
             full_restores: AtomicU64::new(0),
         }
     }
 
-    /// The union of adjacent page diffs along the hop `lo..hi`, from the
-    /// bounded MRU cache when available; the flag reports whether it was
-    /// a cache hit (the caller counts hits only for unions it actually
-    /// uses). Unions of at least `cache_page_limit` pages are not cached
-    /// — the caller will take the full-image path anyway, and an
-    /// unusable union must not occupy an MRU slot. Falls back to
-    /// unioning into `diff_scratch` (returning `None`) when the cache
-    /// lock is contended — correctness never depends on the cache, only
-    /// the re-union work does.
-    fn hop_union(
-        &self,
-        lo: usize,
-        hi: usize,
-        cache_page_limit: usize,
-        diff_scratch: &mut Vec<u32>,
-    ) -> (Option<Arc<Vec<u32>>>, bool) {
-        if let Ok(mut cache) = self.hop_cache.try_lock() {
-            if let Some(pos) = cache.iter().position(|(key, _)| *key == (lo, hi)) {
-                let entry = cache.remove(pos);
-                let union = Arc::clone(&entry.1);
-                cache.insert(0, entry); // MRU to the front
-                return (Some(union), true);
-            }
-            let mut union: Vec<u32> = Vec::new();
-            for diff in &self.golden.adjacent_diffs[lo..hi] {
-                union.extend_from_slice(diff);
-            }
-            union.sort_unstable();
-            union.dedup();
-            let union = Arc::new(union);
-            if union.len() < cache_page_limit {
-                cache.insert(0, ((lo, hi), Arc::clone(&union)));
-                cache.truncate(HOP_CACHE_CAPACITY);
-            }
-            return (Some(union), false);
-        }
-        diff_scratch.clear();
-        for diff in &self.golden.adjacent_diffs[lo..hi] {
-            diff_scratch.extend_from_slice(diff);
-        }
-        diff_scratch.sort_unstable();
-        diff_scratch.dedup();
-        (None, false)
-    }
-
-    /// The next checkpoint index on the segmented walk from `cur` toward
-    /// `dest`. An unaligned position first steps to the nearest
-    /// [`HOP_SEGMENT`] boundary in that direction (clamped to `dest`);
-    /// an aligned one covers the largest power-of-two span (from
-    /// [`HOP_SEGMENT`] up to [`MAX_HOP_SPAN`]) that both starts aligned
-    /// to twice its length — the buddy condition that keeps every span
-    /// at a canonical `(k·2ⁿS, (k+1)·2ⁿS)` position — and still fits
-    /// inside the hop. Walking through aligned waypoints gives long hops
-    /// *canonical* cache keys — every worker crossing the same region
-    /// reuses the same span unions, no matter where its own hop started
-    /// (a 1→N walk hits the spans an unrelated 3→N walk cached) — where
-    /// a direct `(from, index)` key would be unique to one worker's
-    /// momentary position and never hit the cache. Doubling spans also
-    /// shortens long walks to O(log distance) restore steps.
-    fn hop_step(cur: usize, dest: usize) -> usize {
-        const S: usize = HOP_SEGMENT;
-        if dest > cur {
-            if !cur.is_multiple_of(S) {
-                return ((cur / S + 1) * S).min(dest);
-            }
-            let mut span = S;
-            while span < MAX_HOP_SPAN
-                && cur.is_multiple_of(span << 1)
-                && cur + (span << 1) <= dest
-            {
-                span <<= 1;
-            }
-            if cur + span <= dest {
-                cur + span
-            } else {
-                dest
-            }
-        } else {
-            if !cur.is_multiple_of(S) {
-                return ((cur / S) * S).max(dest);
-            }
-            let mut span = S;
-            while span < MAX_HOP_SPAN
-                && cur.is_multiple_of(span << 1)
-                && cur >= (span << 1)
-                && cur - (span << 1) >= dest
-            {
-                span <<= 1;
-            }
-            if cur >= span && cur - span >= dest {
-                cur - span
-            } else {
-                dest
-            }
-        }
-    }
-
-    /// Restores `machine` to checkpoint `index` as cheaply as the
-    /// machine's current base allows: dirty-page restore when it is
-    /// already based on that checkpoint; otherwise, when it is based on
-    /// another checkpoint of this set, a walk of page-diff restores
-    /// through [`Self::hop_step`] waypoints (each segment an
-    /// O(segment-diff) pointer-swap restore, with segment unions served
-    /// from the MRU cache); and the plain full-restore fallback when the
-    /// base is foreign or a segment union blows past half the image. All
-    /// paths are bit-identical: every waypoint restore lands the machine
-    /// exactly on that checkpoint's state.
-    fn restore(&self, machine: &mut Machine<'_>, index: usize, diff_scratch: &mut Vec<u32>) {
+    /// Restores `machine` to checkpoint `index` ([`Machine::restore`]:
+    /// O(dirty pages) when the machine is already based on it, otherwise
+    /// one pass that swaps only the pages not shared with it) and counts
+    /// the restore by the machine's base: that checkpoint, another of
+    /// this set, or a snapshot outside it.
+    fn restore(&self, machine: &mut Machine<'_>, index: usize) {
         let target = self.golden.snapshot(index);
         let base = machine.base_snapshot_id();
-        if base == target.id() {
-            self.dirty_restores.fetch_add(1, Ordering::Relaxed);
-            machine
-                .restore(target)
-                .expect("checkpoint memory image matches the trial machine");
-            return;
-        }
-        if let Some(from) = self
+        let counter = if base == target.id() {
+            &self.dirty_restores
+        } else if self
             .golden
             .checkpoints
             .iter()
-            .position(|c| c.snapshot.id() == base)
+            .any(|c| c.snapshot.id() == base)
         {
-            let limit = target.page_count() / 2;
-            let mut cache_hits = 0u64;
-            let mut cur = from;
-            loop {
-                let next = Self::hop_step(cur, index);
-                // Adjacent diffs are symmetric, so backward segments
-                // reuse the forward segment's key and union.
-                let (lo, hi) = (cur.min(next), cur.max(next));
-                let (cached, cache_hit) = self.hop_union(lo, hi, limit, diff_scratch);
-                let union: &[u32] = cached.as_deref().map_or(&diff_scratch[..], |u| &u[..]);
-                if union.len() >= limit {
-                    // Degenerate segment (most of the image changed):
-                    // swapping every page is cheaper than walking diffs.
-                    // Hits from segments already walked still count — the
-                    // liveness gate must see every real cache use.
-                    self.full_restores.fetch_add(1, Ordering::Relaxed);
-                    self.diff_cache_hits.fetch_add(cache_hits, Ordering::Relaxed);
-                    machine
-                        .restore(target)
-                        .expect("checkpoint memory image matches the trial machine");
-                    return;
-                }
-                machine
-                    .restore_with_diff(self.golden.snapshot(next), union)
-                    .expect("checkpoint memory image matches the trial machine");
-                if cache_hit {
-                    cache_hits += 1;
-                }
-                if next == index {
-                    break;
-                }
-                cur = next;
-            }
-            self.diff_restores.fetch_add(1, Ordering::Relaxed);
-            self.diff_cache_hits.fetch_add(cache_hits, Ordering::Relaxed);
-            return;
-        }
-        self.full_restores.fetch_add(1, Ordering::Relaxed);
+            &self.diff_restores
+        } else {
+            &self.full_restores
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         machine
             .restore(target)
             .expect("checkpoint memory image matches the trial machine");
@@ -965,7 +756,7 @@ impl CheckpointSet {
         RestoreStats {
             dirty_page: self.dirty_restores.load(Ordering::Relaxed),
             diff_hop: self.diff_restores.load(Ordering::Relaxed),
-            diff_union_cache_hits: self.diff_cache_hits.load(Ordering::Relaxed),
+            diff_union_cache_hits: 0,
             full_image: self.full_restores.load(Ordering::Relaxed),
         }
     }
@@ -1144,12 +935,12 @@ impl<'a> GoldenSession<'a> {
         };
         let trace = trace_golden(target, &decoded, golden_budget, budget, stride, aot);
         let checkpoints = config.checkpointing.then(|| {
-            Arc::new(GoldenCheckpoints::new(
-                trace.checkpoints,
-                trace.capture_bytes,
-                budget,
+            Arc::new(GoldenCheckpoints {
+                checkpoints: trace.checkpoints,
+                capture_bytes: trace.capture_bytes,
+                budget_bytes: budget,
                 stride,
-            ))
+            })
         });
         // Trials re-lower the program with the golden run's execution
         // counts seeding the superblock policy: only blocks the golden run
@@ -1503,7 +1294,6 @@ const MAX_PROBE_GAP: usize = 8;
 fn run_trial_checkpointed(
     session: &CampaignSession<'_>,
     machine: &mut Machine<'_>,
-    diff_scratch: &mut Vec<u32>,
     plan: &TrialPlan,
     deadline: Instant,
 ) -> TrialExec {
@@ -1526,7 +1316,7 @@ fn run_trial_checkpointed(
     }
 
     let cp_index = checkpoint_set.restore_index(plan);
-    checkpoint_set.restore(machine, cp_index, diff_scratch);
+    checkpoint_set.restore(machine, cp_index);
 
     // Stage 1: apply every planned flip, then find the first probe index.
     // Register plans inject through the writeback hook while running;
@@ -2089,19 +1879,17 @@ impl<'a> CampaignSession<'a> {
                 // `schedule_trials`) then gives each worker a run of
                 // same-checkpoint trials — consecutive trials restore
                 // incrementally from the previous trial's start state —
-                // and the chunk-boundary hops recur across workers, so the
-                // bounded hop-union MRU cache serves them warm.
+                // and the hops that remain are mostly to the adjacent
+                // checkpoint, which shares most pages with the machine's.
                 let mut order: Vec<usize> = (0..n).collect();
                 order.sort_by_key(|&pos| self.sort_key(ids[pos]));
                 // Chunks sized so each worker lands several chunks in
                 // every checkpoint group: within a group a worker's
                 // consecutive chunks restore on the dirty-page fast path,
-                // while every worker still crosses every group boundary —
-                // so the adjacent checkpoint hops recur once per worker
-                // and the hop-union MRU serves all but the first from
-                // cache. (One giant chunk per worker would minimize hops
-                // but leave every hop key unique — a cold cache and a
-                // load-balance cliff.)
+                // and the cursor hands the next chunk to whichever worker
+                // is free, so uneven trial lengths balance out. (One giant
+                // chunk per worker would minimize hops but leave the
+                // workers with the longest trials finishing last.)
                 let groups = checkpoint_set.eligible_seen.len().max(1);
                 let chunk = (n / (groups * self.threads * 2).max(1)).clamp(1, 64);
                 schedule_trials(
@@ -2116,9 +1904,9 @@ impl<'a> CampaignSession<'a> {
                             &self.machine_config,
                         )
                         .expect("checkpoint matches the campaign machine config");
-                        (machine, Vec::new())
+                        machine
                     },
-                    |worker: &mut (Machine<'_>, Vec<u32>), pos| {
+                    |worker: &mut Machine<'_>, pos| {
                         let trial = ids[pos] as usize;
                         contain(
                             trial,
@@ -2126,17 +1914,11 @@ impl<'a> CampaignSession<'a> {
                             &self.counters,
                             worker,
                             |w| {
-                                w.0.restore_full(checkpoint_set.golden.snapshot(0))
+                                w.restore_full(checkpoint_set.golden.snapshot(0))
                                     .expect("checkpoint matches the campaign machine config");
                             },
                             |w, deadline| {
-                                run_trial_checkpointed(
-                                    self,
-                                    &mut w.0,
-                                    &mut w.1,
-                                    &self.plans[trial],
-                                    deadline,
-                                )
+                                run_trial_checkpointed(self, w, &self.plans[trial], deadline)
                             },
                         )
                     },
@@ -2581,8 +2363,12 @@ mod tests {
     /// `ControlOnly` campaign's checkpoint set.
     fn checkpoint_set(t: &SumTarget, decoded: &Arc<DecodedProgram>, stride: u64) -> CheckpointSet {
         let trace = trace_golden(t, decoded, 1_000_000, 256 << 20, stride, None);
-        let golden =
-            GoldenCheckpoints::new(trace.checkpoints, trace.capture_bytes, 256 << 20, stride);
+        let golden = GoldenCheckpoints {
+            checkpoints: trace.checkpoints,
+            capture_bytes: trace.capture_bytes,
+            budget_bytes: 256 << 20,
+            stride,
+        };
         let eligibility = Eligibility::new(
             &t.program,
             &analyze(&t.program),
@@ -2592,8 +2378,9 @@ mod tests {
         CheckpointSet::new(Arc::new(golden), &eligibility)
     }
 
-    /// Checkpoint-hopping restores (forward and backward, through the
-    /// precomputed adjacent page diffs) must land on bit-identical state.
+    /// Checkpoint-hopping restores (forward and backward, adjacent and
+    /// multi-step) must land on bit-identical state, and the restore-path
+    /// counters must partition the restores by the machine's base.
     #[test]
     fn checkpoint_set_hops_are_bit_identical() {
         let t = SumTarget::new();
@@ -2603,10 +2390,6 @@ mod tests {
             set.eligible_seen.len() >= 4,
             "need several checkpoints to hop"
         );
-        assert_eq!(
-            set.golden.adjacent_diffs.len(),
-            set.golden.checkpoints.len() - 1
-        );
 
         let config = MachineConfig {
             mem_size: t.mem_size(),
@@ -2620,62 +2403,28 @@ mod tests {
             &config,
         )
         .unwrap();
-        let mut scratch = Vec::new();
         // Forward hops (adjacent and multi-step), with dirty state in
-        // between; then a backward hop.
-        for &index in &[1usize, 3, 2, 0, 3] {
+        // between; then backward hops, and a same-checkpoint restore.
+        for &index in &[1usize, 3, 2, 0, 3, 3] {
             machine.run_until_simple(machine.instructions() + 17);
-            set.restore(&mut machine, index, &mut scratch);
+            set.restore(&mut machine, index);
             assert!(
                 machine.state_eq(set.golden.snapshot(index)),
                 "hop to checkpoint {index} must be exact"
             );
         }
-    }
-
-    /// Repeated hops between the same checkpoint pair must be served from
-    /// the hop-union cache (after the first), and the restore-path
-    /// counters must partition the restores.
-    #[test]
-    fn hop_union_cache_hits_on_repeated_hops() {
-        let t = SumTarget::new();
-        let decoded = Arc::new(DecodedProgram::new(&t.program));
-        let set = checkpoint_set(&t, &decoded, 40);
-        assert!(set.eligible_seen.len() >= 4);
-        let config = MachineConfig {
-            mem_size: t.mem_size(),
-            max_instructions: 1_000_000,
-            profile: false,
-        };
-        let mut machine = Machine::from_snapshot_with_decoded(
-            &t.program,
-            &decoded,
-            set.golden.snapshot(0),
-            &config,
-        )
-        .unwrap();
-        let mut scratch = Vec::new();
-        // Ping-pong over the same pair: hop 0→3 unions once, every
-        // further 0↔3 hop (diffs are symmetric) is a cache hit.
-        for &index in &[3usize, 0, 3, 0, 3] {
-            set.restore(&mut machine, index, &mut scratch);
-            assert!(machine.state_eq(set.golden.snapshot(index)));
-        }
         let stats = set.stats();
-        assert_eq!(stats.diff_hop, 5, "every ping-pong hop is diff-based");
-        assert_eq!(
-            stats.diff_union_cache_hits, 4,
-            "all but the first (0,3) union come from the cache"
-        );
-        assert_eq!(stats.dirty_page, 0);
+        assert_eq!(stats.diff_hop, 5, "every change of checkpoint is a hop");
+        assert_eq!(stats.dirty_page, 1, "the repeated checkpoint is not");
         assert_eq!(stats.full_image, 0);
-        assert_eq!(stats.total(), 5);
+        assert_eq!(stats.diff_union_cache_hits, 0);
+        assert_eq!(stats.total(), 6);
     }
 
     /// A machine whose base snapshot is foreign to the checkpoint set must
-    /// take (and count) the full-image path, completing the
-    /// dirty/diff/cache/full partition of [`RestoreStats`]; a follow-up
-    /// restore of the same checkpoint is back on the dirty-page path.
+    /// count as a full-image restore, completing the dirty/diff/full
+    /// partition of [`RestoreStats`]; a follow-up restore of the same
+    /// checkpoint is back on the dirty-page path.
     #[test]
     fn foreign_base_takes_the_full_image_path() {
         let t = SumTarget::new();
@@ -2695,12 +2444,11 @@ mod tests {
         let mut machine =
             Machine::from_snapshot_with_decoded(&t.program, &decoded, &foreign_snap, &config)
                 .unwrap();
-        let mut scratch = Vec::new();
-        set.restore(&mut machine, 2, &mut scratch);
+        set.restore(&mut machine, 2);
         assert!(machine.state_eq(set.golden.snapshot(2)));
-        set.restore(&mut machine, 2, &mut scratch);
+        set.restore(&mut machine, 2);
         let stats = set.stats();
-        assert_eq!(stats.full_image, 1, "foreign base cannot hop by diff");
+        assert_eq!(stats.full_image, 1, "a base outside the set counts as full-image");
         assert_eq!(stats.dirty_page, 1, "second restore is same-base");
         assert_eq!(stats.diff_hop, 0);
         assert_eq!(stats.diff_union_cache_hits, 0);
@@ -2740,7 +2488,9 @@ mod tests {
     }
 
     /// The campaign surfaces the restore breakdown, and it accounts for
-    /// every checkpointed trial restore (scratch campaigns report zeros).
+    /// every checkpointed trial restore: one per trial with a non-empty
+    /// plan (an empty plan is the golden run and restores nothing;
+    /// scratch campaigns report zeros).
     #[test]
     fn campaign_reports_restore_stats() {
         let t = SumTarget::new();
@@ -2752,12 +2502,23 @@ mod tests {
             checkpoint_stride: 50,
             ..CampaignConfig::default()
         };
-        let r = run_campaign(&t, &tags, &cfg);
-        assert!(
-            r.restore_stats.total() >= 1,
-            "checkpointed trials must restore at least once: {:?}",
-            r.restore_stats
-        );
+        for errors in [cfg.errors, 0] {
+            let config = CampaignConfig {
+                errors,
+                ..cfg.clone()
+            };
+            let session = CampaignSession::new(&t, &tags, &config);
+            let planned = session.plans.iter().filter(|p| !p.is_empty()).count() as u64;
+            let trials = session.run_all();
+            let r = session.finish(trials);
+            assert_eq!(
+                r.restore_stats.total(),
+                planned,
+                "one restore per trial with a non-empty plan at {errors} errors: {:?}",
+                r.restore_stats
+            );
+            assert_eq!(r.restore_stats.diff_union_cache_hits, 0);
+        }
         let scratch = run_campaign(
             &t,
             &tags,
@@ -2842,105 +2603,6 @@ mod tests {
                 "trial {i} result must be unaffected by sabotage elsewhere"
             );
         }
-    }
-
-    /// The span-growing waypoint walk must produce canonical power-of-two
-    /// aligned spans: unaligned starts step to the next base boundary,
-    /// aligned starts double their span while the buddy condition holds,
-    /// and the walk is symmetric (a backward hop crosses exactly the
-    /// forward hop's spans, so the symmetric-diff cache keys coincide).
-    #[test]
-    fn hop_step_walks_power_of_two_aligned_spans() {
-        let walk = |from: usize, to: usize| {
-            let mut spans = Vec::new();
-            let mut cur = from;
-            while cur != to {
-                let next = CheckpointSet::hop_step(cur, to);
-                spans.push((cur.min(next), cur.max(next)));
-                cur = next;
-            }
-            spans
-        };
-        assert_eq!(walk(1, 17), vec![(1, 4), (4, 8), (8, 16), (16, 17)]);
-        assert_eq!(walk(3, 17), vec![(3, 4), (4, 8), (8, 16), (16, 17)]);
-        assert_eq!(walk(17, 1), vec![(16, 17), (8, 16), (4, 8), (1, 4)]);
-        assert_eq!(walk(0, 31), vec![(0, 16), (16, 24), (24, 28), (28, 31)]);
-        assert_eq!(walk(31, 0), vec![(28, 31), (24, 28), (16, 24), (0, 16)]);
-        assert_eq!(walk(0, 3), vec![(0, 3)]);
-        assert_eq!(walk(6, 7), vec![(6, 7)]);
-        assert_eq!(walk(7, 6), vec![(6, 7)]);
-        // Spans cap at MAX_HOP_SPAN even over a fully aligned run.
-        let long = walk(0, 2 * MAX_HOP_SPAN);
-        assert_eq!(long[0], (0, MAX_HOP_SPAN));
-        assert_eq!(long[1], (MAX_HOP_SPAN, 2 * MAX_HOP_SPAN));
-        // Every span is canonical: its start is aligned to its length.
-        for (lo, hi) in walk(1, 17).into_iter().chain(walk(0, 31)) {
-            let span = hi - lo;
-            assert!(
-                !span.is_multiple_of(HOP_SEGMENT) || lo.is_multiple_of(span),
-                "span ({lo}, {hi}) is not canonically aligned"
-            );
-        }
-    }
-
-    /// The cross-worker payoff of canonical spans: a 1→N hop must be
-    /// served from span unions cached by an unrelated 3→N hop — the two
-    /// walks share every span past their first partial edge.
-    #[test]
-    fn unrelated_hops_share_cached_span_unions() {
-        let t = SumTarget::new();
-        let decoded = Arc::new(DecodedProgram::new(&t.program));
-        let set = checkpoint_set(&t, &decoded, 20);
-        assert!(
-            set.eligible_seen.len() >= 18,
-            "need indices through 17, got {}",
-            set.eligible_seen.len()
-        );
-        let config = MachineConfig {
-            mem_size: t.mem_size(),
-            max_instructions: 1_000_000,
-            profile: false,
-        };
-        let mut scratch = Vec::new();
-
-        // A worker based on checkpoint 3 hops to 17, caching the unions
-        // of spans (3,4), (4,8), (8,16), (16,17) — all misses.
-        let mut from3 = Machine::from_snapshot_with_decoded(
-            &t.program,
-            &decoded,
-            set.golden.snapshot(3),
-            &config,
-        )
-        .unwrap();
-        set.restore(&mut from3, 17, &mut scratch);
-        assert!(from3.state_eq(set.golden.snapshot(17)));
-        assert_eq!(set.stats().diff_union_cache_hits, 0);
-
-        // An unrelated worker based on checkpoint 1 hops to the same
-        // destination: spans (4,8), (8,16), (16,17) come from the cache;
-        // only its private partial edge (1,4) is new.
-        let mut from1 = Machine::from_snapshot_with_decoded(
-            &t.program,
-            &decoded,
-            set.golden.snapshot(1),
-            &config,
-        )
-        .unwrap();
-        set.restore(&mut from1, 17, &mut scratch);
-        assert!(from1.state_eq(set.golden.snapshot(17)));
-        let stats = set.stats();
-        assert_eq!(
-            stats.diff_union_cache_hits, 3,
-            "1→17 must reuse the three spans the 3→17 hop cached"
-        );
-        assert_eq!(stats.diff_hop, 2);
-        assert_eq!(stats.full_image, 0);
-
-        // The backward hop crosses the same spans (diffs are symmetric):
-        // all four of 17→1's spans are now cached, (1,4) included.
-        set.restore(&mut from1, 1, &mut scratch);
-        assert!(from1.state_eq(set.golden.snapshot(1)));
-        assert_eq!(set.stats().diff_union_cache_hits, 7);
     }
 
     /// Pins the zero-elapsed guard in [`CampaignResult::trials_per_second`]:

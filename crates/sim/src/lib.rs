@@ -95,12 +95,17 @@
 //! golden run and fast-forward each trial to the neighborhood of its first
 //! injection point instead of re-executing from instruction zero.
 //!
-//! Restores are page-granular: the machine tracks which 4 KiB pages guest
-//! stores and host writes have dirtied since its memory was last
-//! synchronized with a snapshot, and re-restoring that same snapshot
-//! copies only those pages ([`Machine::restore`]). Restoring a different
-//! snapshot falls back to the whole-image copy
-//! ([`Machine::restore_full`]); both paths are bit-identical.
+//! Memory is a table of copy-on-write 4 KiB pages shared with snapshots
+//! by `Arc`, and sharing one is the only fast path: a shared `Arc` proves
+//! equal bytes. The machine tracks which pages guest stores and host
+//! writes have dirtied since its memory was last synchronized with a
+//! snapshot, and re-restoring that same snapshot swaps only those pages
+//! back ([`Machine::restore`]). Restoring a different snapshot
+//! ([`Machine::restore_full`]) is one pass over the page table that
+//! swaps every page not already shared with it; both paths swap
+//! pointers, never copy bytes, and are bit-identical.
+//! [`Machine::state_eq`] accepts shared pages without reading them and
+//! compares the rest bytewise.
 //!
 //! **Determinism contract:** the simulator is a pure function of
 //! (program, initial state, hook behavior). Restoring a snapshot taken at

@@ -9,9 +9,7 @@ use certa_isa::{reg, AluOp, FpuOp, FReg, Instr, MemWidth, Program, Reg};
 
 use crate::aot::{AotCtx, AotExit, AotProgram, NativeWindow};
 use crate::decode::{DecodedProgram, MOp, MicroOp, SuperOp};
-use crate::mem::{
-    hash_page, load_f64_mem, load_mem, store_f64_mem, store_mem, PageBuf, PagedMem,
-};
+use crate::mem::{load_f64_mem, load_mem, store_f64_mem, store_mem, PageBuf, PagedMem};
 
 /// Monotonic id source for [`Snapshot`]s; id 0 is reserved for "no base
 /// snapshot" so a fresh machine never takes the dirty-page restore path.
@@ -211,13 +209,6 @@ pub struct Snapshot {
     /// Addressable bytes (the tail of the last page past this is zero
     /// padding).
     mem_len: usize,
-    /// One 64-bit hash per page, computed incrementally at capture (clean
-    /// pages reuse the previous capture's hash) and shared by clones.
-    /// [`Machine::state_eq`] uses these to refute equality in
-    /// O(pages-compared) without touching page bytes: differing hashes
-    /// prove differing content (equal hashes prove nothing and fall back
-    /// to an exact compare).
-    page_hashes: Arc<[u64]>,
 }
 
 impl Snapshot {
@@ -227,25 +218,20 @@ impl Snapshot {
         self.icount
     }
 
-    /// Snapshot identity (used by campaigns to key precomputed page diffs;
-    /// see [`Machine::restore_with_diff`]).
+    /// Snapshot identity, shared by clones: campaigns compare it with
+    /// [`Machine::base_snapshot_id`] to tell which restore path a trial
+    /// machine takes.
     #[must_use]
     pub fn id(&self) -> u64 {
         self.id
     }
 
-    /// Number of [`PAGE_SIZE`] pages in the memory image.
-    #[must_use]
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Logical footprint in bytes for checkpoint budget accounting: the
-    /// (fully materialized) memory image, the per-page hash table, plus
-    /// the inline state — both register files (integer and
-    /// floating-point), program counter, dynamic counters, and the
-    /// id/Vec bookkeeping — which `size_of::<Snapshot>()` covers because
-    /// the register files are stored inline, not boxed.
+    /// (fully materialized) memory image plus the inline state — both
+    /// register files (integer and floating-point), program counter,
+    /// dynamic counters, and the id/Vec bookkeeping — which
+    /// `size_of::<Snapshot>()` covers because the register files are
+    /// stored inline, not boxed.
     ///
     /// Deliberately *logical*, not physical: copy-on-write sharing means
     /// the real incremental cost of a capture is far smaller (see
@@ -255,32 +241,7 @@ impl Snapshot {
     /// configuration.
     #[must_use]
     pub fn size_bytes(&self) -> usize {
-        self.mem_len
-            + self.page_hashes.len() * std::mem::size_of::<u64>()
-            + std::mem::size_of::<Snapshot>()
-    }
-
-    /// Page indices on which `self` and `other` differ, byte-exactly
-    /// (page hashes are deliberately not consulted: a hash collision must
-    /// never hide a real difference, because campaigns feed this list to
-    /// [`Machine::restore_with_diff`] where missing a page would corrupt
-    /// the restore). Pages sharing one `Arc` are identical by
-    /// construction and skipped without touching their bytes — adjacent
-    /// golden checkpoints share almost everything, which is what makes
-    /// campaign diff precomputation cheap. Returns `None` when the images
-    /// differ in size.
-    #[must_use]
-    pub fn diff_pages(&self, other: &Snapshot) -> Option<Vec<u32>> {
-        if self.mem_len != other.mem_len || self.pages.len() != other.pages.len() {
-            return None;
-        }
-        let mut pages = Vec::new();
-        for (page, (a, b)) in self.pages.iter().zip(&other.pages).enumerate() {
-            if !Arc::ptr_eq(a, b) && **a != **b {
-                pages.push(page as u32);
-            }
-        }
-        Some(pages)
+        self.mem_len + std::mem::size_of::<Snapshot>()
     }
 }
 
@@ -378,15 +339,9 @@ pub struct Machine<'p> {
     profile: bool,
     max_instructions: u64,
     /// Id of the [`Snapshot`] this machine's memory was last synchronized
-    /// with (0 = none): non-dirty pages are bit-identical to that snapshot,
-    /// which is what makes dirty-page restore exact.
+    /// with (0 = none): non-dirty pages hold that snapshot's very page
+    /// `Arc`s, which is what makes dirty-page restore exact.
     base_snapshot: u64,
-    /// Per-page hashes of the base snapshot's memory (shared with it),
-    /// `None` when there is no base. Clean pages of this machine hash to
-    /// these values by the dirty-tracking invariant, which is what lets
-    /// [`Machine::state_eq`] refute cross-snapshot equality in
-    /// O(pages-compared) instead of O(memory).
-    base_hashes: Option<Arc<[u64]>>,
     /// Instructions retired inside superblock traces (diagnostics: lets
     /// benches and tests verify the superblock tier actually executed).
     sb_retired: u64,
@@ -459,7 +414,7 @@ impl<'p> Machine<'p> {
         mem.copy_in(lo, &program.data);
         // The freshly loaded image has no base snapshot, so the dirty bits
         // the loader just set carry no meaning; clear them so diagnostics
-        // (and the first capture's hash reuse guard) see a clean machine.
+        // see a clean machine.
         mem.clear_dirty();
         let mut regs = [0u32; 32];
         regs[reg::SP.index()] = config.mem_size - 16;
@@ -481,7 +436,6 @@ impl<'p> Machine<'p> {
             profile: config.profile,
             max_instructions: config.max_instructions,
             base_snapshot: 0,
-            base_hashes: None,
             sb_retired: 0,
             aot_retired: 0,
             capture_bytes: 0,
@@ -566,7 +520,6 @@ impl<'p> Machine<'p> {
             profile: config.profile,
             max_instructions: config.max_instructions,
             base_snapshot: snapshot.id,
-            base_hashes: Some(Arc::clone(&snapshot.page_hashes)),
             sb_retired: 0,
             aot_retired: 0,
             capture_bytes: 0,
@@ -584,20 +537,19 @@ impl<'p> Machine<'p> {
     ///
     /// Capture is incremental under copy-on-write sharing: only the pages
     /// written since the previous capture/restore point are materialized
-    /// (copied into fresh shared pages and rehashed); everything else is a
-    /// reference bump reusing the previous hashes. The machine's memory is
-    /// left sharing every page with the new snapshot, which becomes its
-    /// base — so an immediately following [`Machine::restore`] of it is
-    /// free, and [`Machine::state_eq`] against it is O(pages) pointer
-    /// compares. This is why capture takes `&mut self`: it flips written
-    /// pages from owned to shared (the architectural state is unchanged).
+    /// (copied into fresh shared pages); everything else is a reference
+    /// bump. The machine's memory is left sharing every page with the new
+    /// snapshot, which becomes its base — so an immediately following
+    /// [`Machine::restore`] of it is free, and [`Machine::state_eq`]
+    /// against it is O(pages) pointer compares. This is why capture takes
+    /// `&mut self`: it flips written pages from owned to shared (the
+    /// architectural state is unchanged).
     #[must_use]
     pub fn snapshot(&mut self) -> Snapshot {
-        let (pages, page_hashes, fresh) = self.mem.capture(self.base_hashes.as_ref());
+        let (pages, fresh) = self.mem.capture();
         self.capture_bytes += fresh;
         let id = SNAPSHOT_IDS.fetch_add(1, Ordering::Relaxed);
         self.base_snapshot = id;
-        self.base_hashes = Some(Arc::clone(&page_hashes));
         Snapshot {
             id,
             regs: self.regs,
@@ -607,7 +559,6 @@ impl<'p> Machine<'p> {
             value_producing: self.value_producing,
             pages,
             mem_len: self.mem.len(),
-            page_hashes,
         }
     }
 
@@ -631,9 +582,11 @@ impl<'p> Machine<'p> {
     /// sharing the snapshot's page, and every clean page is untouched —
     /// no page bytes are copied at all (displaced owned pages are
     /// recycled, so the steady-state trial loop never allocates).
-    /// Restoring a *different* snapshot falls back to swapping every slot
-    /// (see [`Machine::restore_full`] — still pointer swaps, not copies).
-    /// Both paths produce bit-identical state.
+    /// Restoring a *different* snapshot is [`Machine::restore_full`]: one
+    /// pass over the page table that swaps every slot not already sharing
+    /// the snapshot's page, so a hop between golden checkpoints, which
+    /// share most pages, swaps only the dirty pages and the pages the two
+    /// checkpoints do not share. Both paths produce bit-identical state.
     ///
     /// Watchdog budget and profiling configuration are unchanged.
     ///
@@ -657,11 +610,15 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    /// Overwrites this machine's architectural state with `snapshot` by
-    /// swapping **every** page to share the snapshot's, bypassing
-    /// dirty-page tracking. Exposed so the differential suite can prove
-    /// both restore paths bit-identical; ordinary callers should use
-    /// [`Machine::restore`].
+    /// Overwrites this machine's architectural state with `snapshot` in
+    /// one pass over the page table, bypassing dirty-page tracking: every
+    /// slot not already sharing the snapshot's page `Arc` is swapped to
+    /// share it, and a slot that does share it is identical by
+    /// construction and left alone. [`Machine::restore`] takes this path
+    /// for any snapshot other than the machine's base; it is exposed so
+    /// the differential suite can prove both restore paths bit-identical,
+    /// and so a harness can re-base a machine whose dirty tracking it no
+    /// longer trusts.
     ///
     /// # Errors
     ///
@@ -682,7 +639,6 @@ impl<'p> Machine<'p> {
         self.restore_registers(snapshot);
         self.mem.restore_all_from(&snapshot.pages);
         self.base_snapshot = snapshot.id;
-        self.base_hashes = Some(Arc::clone(&snapshot.page_hashes));
     }
 
     fn restore_registers(&mut self, snapshot: &Snapshot) {
@@ -701,70 +657,29 @@ impl<'p> Machine<'p> {
     }
 
     /// Id of the snapshot this machine's memory was last synchronized
-    /// with, or 0 when it has none (a freshly loaded machine). Campaigns
-    /// use this to pick a precomputed page diff for
-    /// [`Machine::restore_with_diff`].
+    /// with, or 0 when it has none (a freshly loaded machine): a
+    /// [`Machine::restore`] of the snapshot with this [`Snapshot::id`]
+    /// takes the dirty-page path, any other the one-pass path. Campaigns
+    /// use it to count restores by path.
     #[must_use]
     pub fn base_snapshot_id(&self) -> u64 {
         self.base_snapshot
     }
 
-    /// Restores `snapshot` using a precomputed page diff against the
-    /// machine's current base snapshot: instead of the every-slot swap a
-    /// cross-snapshot [`Machine::restore`] would make, only the pages
-    /// dirtied since the last restore point **plus** `changed_pages` are
-    /// swapped to share the snapshot's pages (pointer swaps — no byte
-    /// copies on any path). The fault campaign precomputes diffs between
-    /// adjacent golden checkpoints so checkpoint-hopping restores are
-    /// page-granular too.
-    ///
-    /// **Contract:** `changed_pages` must include every page on which the
-    /// machine's current base snapshot (see
-    /// [`Machine::base_snapshot_id`]) and `snapshot` differ — e.g. the
-    /// union of adjacent [`Snapshot::diff_pages`] lists along the hop.
-    /// Every other page is clean (bit-identical to the base, hence to
-    /// `snapshot`) or dirty (copied here). Out-of-range page indices are
-    /// ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MachineError::MemSizeMismatch`] if the snapshot's memory
-    /// image differs in size from this machine's memory.
-    pub fn restore_with_diff(
-        &mut self,
-        snapshot: &Snapshot,
-        changed_pages: &[u32],
-    ) -> Result<(), MachineError> {
-        if snapshot.mem_len != self.mem.len() {
-            return Err(MachineError::MemSizeMismatch {
-                snapshot: snapshot.mem_len,
-                machine: self.mem.len(),
-            });
-        }
-        self.restore_registers(snapshot);
-        self.mem.restore_diff_from(&snapshot.pages, changed_pages);
-        self.base_snapshot = snapshot.id;
-        self.base_hashes = Some(Arc::clone(&snapshot.page_hashes));
-        Ok(())
-    }
-
     /// Whether this machine's architectural state is bit-identical to
     /// `snapshot` (floats compared by bit pattern, so NaNs compare
     /// faithfully). Cheap fields are compared first so divergent states
-    /// usually return `false` without touching the memory image, and the
-    /// memory comparison exploits dirty-page tracking:
+    /// usually return `false` without touching the memory image. Memory
+    /// is then compared page by page: a page sharing the snapshot's `Arc`
+    /// is identical by construction and accepted without reading it, and
+    /// every other page is compared bytewise. Clean pages hold the base
+    /// snapshot's `Arc`s, so against the base the bytes compared are the
+    /// dirty pages, and against another golden checkpoint they are the
+    /// dirty pages plus the pages the two checkpoints do not share.
     ///
-    /// * against the machine's own base snapshot, only dirty pages are
-    ///   compared (exact, O(dirty pages));
-    /// * against any other snapshot, per-page hashes refute inequality
-    ///   first — clean pages by comparing the base's and the snapshot's
-    ///   stored hashes, dirty pages by hashing current content — and only
-    ///   when no hash disagrees (the rare "probably reconverged" case)
-    ///   does an exact full comparison confirm.
-    ///
-    /// This is what makes the campaign's reconvergence probe cheap: the
-    /// common not-yet-reconverged answer costs O(dirty pages), not
-    /// O(memory).
+    /// This is what makes the campaign's reconvergence probe cheap: it
+    /// costs one pointer compare per page plus a `memcmp` of the pages
+    /// that are not shared, never a pass over all of memory's bytes.
     #[must_use]
     pub fn state_eq(&self, snapshot: &Snapshot) -> bool {
         self.icount == snapshot.icount
@@ -776,64 +691,8 @@ impl<'p> Machine<'p> {
                 .iter()
                 .zip(&snapshot.fregs)
                 .all(|(a, b)| a.to_bits() == b.to_bits())
-            && self.mem_eq(snapshot)
-    }
-
-    /// Memory comparison half of [`Machine::state_eq`].
-    fn mem_eq(&self, snapshot: &Snapshot) -> bool {
-        if snapshot.mem_len != self.mem.len() || snapshot.pages.len() != self.mem.page_count() {
-            return false;
-        }
-        if self.base_snapshot == snapshot.id {
-            // Clean pages are bit-identical to this very snapshot by the
-            // dirty-tracking invariant: comparing dirty pages is exact.
-            return self.dirty_pages_match(snapshot);
-        }
-        if let Some(base_hashes) = &self.base_hashes {
-            if base_hashes.len() == snapshot.page_hashes.len() {
-                // Fast refutation: a differing hash proves differing
-                // content (clean pages hash to the base snapshot's value),
-                // and a page sharing the snapshot's `Arc` is identical by
-                // construction.
-                for (page, (&bh, &sh)) in base_hashes
-                    .iter()
-                    .zip(snapshot.page_hashes.iter())
-                    .enumerate()
-                {
-                    if self
-                        .mem
-                        .shared_page(page)
-                        .is_some_and(|a| Arc::ptr_eq(a, &snapshot.pages[page]))
-                    {
-                        continue;
-                    }
-                    if self.mem.is_dirty(page) {
-                        if hash_page(self.mem.page_bytes(page)) != sh {
-                            return false;
-                        }
-                    } else if bh != sh {
-                        return false;
-                    }
-                }
-                // No hash disagrees: confirm exactly (hash equality is
-                // evidence, not proof; pointer-equal pages short-circuit).
-                return self.mem.eq_pages(&snapshot.pages);
-            }
-        }
-        self.mem.eq_pages(&snapshot.pages)
-    }
-
-    /// Exact comparison of this machine's dirty pages against `snapshot`
-    /// (clean pages share the snapshot's `Arc`s or equal them by the
-    /// dirty-tracking invariant).
-    fn dirty_pages_match(&self, snapshot: &Snapshot) -> bool {
-        let mut equal = true;
-        self.mem.for_each_dirty(|page| {
-            if equal && *self.mem.page_bytes(page) != *snapshot.pages[page] {
-                equal = false;
-            }
-        });
-        equal
+            && snapshot.mem_len == self.mem.len()
+            && self.mem.eq_pages(&snapshot.pages)
     }
 
     /// Current value of an integer register.
@@ -2732,6 +2591,10 @@ mod snapshot_tests {
             m.restore(&snap),
             Err(MachineError::MemSizeMismatch { .. })
         ));
+        assert!(matches!(
+            m.restore_full(&snap),
+            Err(MachineError::MemSizeMismatch { .. })
+        ));
     }
 
     #[test]
@@ -3196,12 +3059,17 @@ mod pipeline_tests {
         let mut m = Machine::new(&p, &MachineConfig::default());
         m.write_bytes(DATA_BASE + 100, &[0xAA; 16]).unwrap();
         // Three captures with no writes in between: all three snapshots
-        // (and the machine) share the same page `Arc`s.
+        // (and the machine) share the same page `Arc`s, so only the first
+        // capture materializes anything.
         let s1 = m.snapshot();
+        let materialized = m.capture_bytes();
         let s2 = m.snapshot();
         let s3 = m.snapshot();
-        assert_eq!(s1.diff_pages(&s2).unwrap(), Vec::<u32>::new());
-        assert_eq!(s2.diff_pages(&s3).unwrap(), Vec::<u32>::new());
+        assert_eq!(
+            m.capture_bytes(),
+            materialized,
+            "re-captures with no writes in between share every page"
+        );
 
         // Write through the shared page: the machine copies it out.
         m.write_bytes(DATA_BASE + 104, &[0xBB; 4]).unwrap();
@@ -3257,15 +3125,14 @@ mod pipeline_tests {
         let early = m.snapshot();
         m.run_until_simple(160);
         let late = m.snapshot();
-        let delta = early.diff_pages(&late).unwrap();
 
         // dirty-path restore after COW writes
         m.write_bytes(DATA_BASE + 300, &[7; 64]).unwrap();
         m.restore(&late).unwrap();
         assert!(m.state_eq(&late));
-        // diff-path hop back to early, with fresh dirty pages
+        // one-pass hop back to early, with fresh dirty pages
         m.write_bytes(DATA_BASE + 300, &[9; 64]).unwrap();
-        m.restore_with_diff(&early, &delta).unwrap();
+        m.restore(&early).unwrap();
         assert!(m.state_eq(&early));
         // full path onto a machine that never saw these snapshots
         let mut other = Machine::new(&p, &config);
@@ -3289,8 +3156,8 @@ mod pipeline_tests {
 
         m.restore(&early).unwrap();
         assert!(m.state_eq(&early));
-        // Different snapshot while based on `early`: must fall back to the
-        // full copy (pages differing between the two are not dirty).
+        // Different snapshot while based on `early`: must take the one-pass
+        // path (pages differing between the two are not dirty).
         m.run_until_simple(40);
         m.restore(&late).unwrap();
         assert!(m.state_eq(&late));
@@ -3346,75 +3213,6 @@ mod pipeline_tests {
     }
 
     #[test]
-    fn diff_pages_is_byte_exact_and_symmetric() {
-        let p = mixed_program();
-        let mut m = Machine::new(&p, &MachineConfig::default());
-        let a = m.snapshot();
-        m.write_bytes(DATA_BASE, &[1; 10]).unwrap();
-        m.write_bytes(DATA_BASE + 3 * 4096, &[2; 4097]).unwrap();
-        let b = m.snapshot();
-        let diff = a.diff_pages(&b).unwrap();
-        // DATA_BASE = 0x1000 = page 1; +3 pages and the 4097-byte write
-        // spilling into the next.
-        assert_eq!(diff, vec![1, 4, 5]);
-        assert_eq!(b.diff_pages(&a).unwrap(), diff);
-        assert_eq!(a.diff_pages(&a).unwrap(), Vec::<u32>::new());
-        assert!(a.page_count() > 20);
-    }
-
-    #[test]
-    fn restore_with_diff_matches_full_restore() {
-        let p = mixed_program();
-        let config = MachineConfig::default();
-        let mut m = Machine::new(&p, &config);
-        m.run_until_simple(15);
-        let early = m.snapshot();
-        m.run_until_simple(200);
-        let late = m.snapshot();
-        let delta = early.diff_pages(&late).unwrap();
-
-        // Base the machine on `early`, dirty some pages, then hop to
-        // `late` through the precomputed diff.
-        m.restore(&early).unwrap();
-        assert_eq!(m.base_snapshot_id(), early.id());
-        m.run_until_simple(120);
-        m.restore_with_diff(&late, &delta).unwrap();
-        assert_eq!(m.base_snapshot_id(), late.id());
-        assert!(m.state_eq(&late), "diff restore must be bit-identical");
-
-        // And execution from the diff-restored state matches a machine
-        // fully restored from `late`.
-        let mut full = Machine::from_snapshot(&p, &late, &config).unwrap();
-        assert_eq!(m.run_simple(), full.run_simple());
-        for i in 0..32u8 {
-            assert_eq!(m.reg(Reg::new(i)), full.reg(Reg::new(i)));
-        }
-    }
-
-    #[test]
-    fn restore_with_diff_rejects_size_mismatch_and_ignores_wild_pages() {
-        let p = mixed_program();
-        let config = MachineConfig::default();
-        let mut m = Machine::new(&p, &config);
-        let snap = m.snapshot();
-        let smaller = Machine::new(
-            &p,
-            &MachineConfig {
-                mem_size: 1 << 20,
-                ..config
-            },
-        )
-        .snapshot();
-        assert!(matches!(
-            m.restore_with_diff(&smaller, &[]),
-            Err(MachineError::MemSizeMismatch { .. })
-        ));
-        // Out-of-range page indices are ignored, not a panic.
-        m.restore_with_diff(&snap, &[u32::MAX, 9_999_999]).unwrap();
-        assert!(m.state_eq(&snap));
-    }
-
-    #[test]
     fn state_eq_fast_paths_agree_with_exact_comparison() {
         let p = mixed_program();
         let config = MachineConfig::default();
@@ -3434,13 +3232,42 @@ mod pipeline_tests {
         m.write_bytes(DATA_BASE + 8, &[0xEE]).unwrap();
         assert!(!m.state_eq(&b), "dirty-page divergence detected");
 
-        // Cross-snapshot hash path: machine based on `a`, compared
-        // against `b` (differing icount/regs are caught early, so pin
-        // them equal by comparing the same instruction boundary).
+        // Cross-snapshot compare: machine based on `a`, compared against
+        // `b` (differing icount/regs are caught early, so pin them equal
+        // by comparing the same instruction boundary).
         m.restore(&a).unwrap();
         m.run_until_simple(40);
         assert!(m.state_eq(&b));
         assert!(!m.state_eq(&a), "icount mismatch refutes instantly");
+
+        // An owned page whose bytes equal the snapshot's reads equal.
+        m.restore(&a).unwrap();
+        let byte = m.read_bytes(DATA_BASE + 8, 1).unwrap()[0];
+        m.write_bytes(DATA_BASE + 8, &[!byte]).unwrap();
+        assert!(!m.state_eq(&a), "owned page with other bytes differs");
+        m.write_bytes(DATA_BASE + 8, &[byte]).unwrap();
+        assert!(m.dirty_pages() > 0, "the page stays owned");
+        assert!(m.state_eq(&a), "owned page with equal bytes is equal");
+
+        // Snapshots at `a`'s boundary whose page holding DATA_BASE + 8 is a
+        // fresh `Arc`: with other bytes, and with `a`'s bytes.
+        let mut other = Machine::from_snapshot(&p, &a, &config).unwrap();
+        other.write_bytes(DATA_BASE + 8, &[!byte]).unwrap();
+        let differs = other.snapshot();
+        other.write_bytes(DATA_BASE + 8, &[byte]).unwrap();
+        let same_bytes = other.snapshot();
+        // `m`, based on `a` with every page clean, shares that page with
+        // neither snapshot: the compare must read its bytes both ways.
+        m.restore(&a).unwrap();
+        assert_eq!(m.dirty_pages(), 0);
+        assert!(
+            !m.state_eq(&differs),
+            "a clean page that differs between base and snapshot is unequal"
+        );
+        assert!(
+            m.state_eq(&same_bytes),
+            "a clean page with another `Arc` but equal bytes is equal"
+        );
     }
 
     #[test]

@@ -17,13 +17,16 @@
 //!   owned page into a fresh `Arc` (one 4 KiB copy) and merely bumps the
 //!   reference count of every already-shared page — untouched memory is
 //!   never duplicated, no matter how many checkpoints co-exist.
-//! * **Restore is O(dirty pages) of pointer swaps**: rolling back to a
-//!   snapshot replaces each written slot with a clone of the snapshot's
-//!   `Arc`. No page bytes move at all; the trial pays for a page copy
-//!   only when (and if) it writes to it again.
+//! * **Restore is pointer swaps**: rolling back to the snapshot the image
+//!   is based on replaces each written slot with a clone of the
+//!   snapshot's `Arc` (O(dirty pages)); restoring any other snapshot is
+//!   one pass over the table that swaps only the slots not already
+//!   holding the snapshot's page. No page bytes move at all; the trial
+//!   pays for a page copy only when (and if) it writes to it again.
 //! * **Comparison gets a pointer fast path**: two images holding the same
-//!   `Arc` for a page are bit-identical there by construction, which makes
-//!   snapshot page-diffs and the campaign's reconvergence probe cheap.
+//!   `Arc` for a page are bit-identical there by construction, so the
+//!   campaign's reconvergence probe compares bytes only for pages the two
+//!   images do not share.
 //!
 //! Displaced owned boxes are recycled through a spare pool, so the
 //! steady-state trial loop (write a working set, roll back, repeat) does
@@ -74,7 +77,9 @@ impl PageSlot {
 /// Invariant: outside the construction window (before the first
 /// capture/restore), a page is `Owned` **iff** its dirty bit is set — a
 /// restore swaps every dirty slot back to `Shared`, and a write both
-/// marks the page dirty and makes it owned.
+/// marks the page dirty and makes it owned. Every clean slot therefore
+/// holds the very `Arc` of the snapshot the image was last captured to
+/// or restored from.
 pub(crate) struct PagedMem {
     slots: Vec<PageSlot>,
     /// Addressable bytes. May end mid-page; the tail of the last page is
@@ -144,11 +149,6 @@ impl PagedMem {
         self.len
     }
 
-    /// Number of pages in the table.
-    pub(crate) fn page_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Read access to one page.
     #[inline(always)]
     fn page(&self, page: usize) -> &PageBuf {
@@ -176,12 +176,6 @@ impl PagedMem {
         }
     }
 
-    /// Whether a page's dirty bit is set.
-    #[inline(always)]
-    pub(crate) fn is_dirty(&self, page: usize) -> bool {
-        self.dirty[page >> 6] & (1 << (page & 63)) != 0
-    }
-
     /// Number of pages written since the last restore/capture point.
     pub(crate) fn dirty_page_count(&self) -> usize {
         self.dirty.iter().map(|w| w.count_ones() as usize).sum()
@@ -191,33 +185,6 @@ impl PagedMem {
     /// as they swap).
     pub(crate) fn clear_dirty(&mut self) {
         self.dirty.fill(0);
-    }
-
-    /// Calls `f` for every dirty page index.
-    #[inline]
-    pub(crate) fn for_each_dirty(&self, mut f: impl FnMut(usize)) {
-        for (w, &word) in self.dirty.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                f((w << 6) + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
-    }
-
-    /// The shared `Arc` behind a page, if the slot is in the shared state.
-    #[inline(always)]
-    pub(crate) fn shared_page(&self, page: usize) -> Option<&Arc<PageBuf>> {
-        match &self.slots[page] {
-            PageSlot::Shared(a) => Some(a),
-            PageSlot::Owned(_) => None,
-        }
-    }
-
-    /// Current bytes of one page (read-only).
-    #[inline(always)]
-    pub(crate) fn page_bytes(&self, page: usize) -> &PageBuf {
-        self.page(page)
     }
 
     /// Swaps one slot to share a snapshot's page, recycling a displaced
@@ -235,7 +202,7 @@ impl PagedMem {
     /// page (pointer swaps, no byte copies) and clears the dirty set.
     ///
     /// Correctness contract (the dirty-tracking invariant): every clean
-    /// page is already bit-identical to `pages` — the caller only invokes
+    /// slot already holds `pages`' very `Arc` — the caller only invokes
     /// this when the machine's memory was last synchronized with this very
     /// snapshot.
     pub(crate) fn restore_dirty_from(&mut self, pages: &[Arc<PageBuf>]) {
@@ -250,24 +217,17 @@ impl PagedMem {
         }
     }
 
-    /// Restore step for checkpoint hops: like [`Self::restore_dirty_from`]
-    /// but additionally swaps every page in `changed_pages` (the pages on
-    /// which the machine's base snapshot and the target snapshot differ).
-    /// Out-of-range indices are ignored.
-    pub(crate) fn restore_diff_from(&mut self, pages: &[Arc<PageBuf>], changed_pages: &[u32]) {
-        self.restore_dirty_from(pages);
-        for &page in changed_pages {
-            let page = page as usize;
-            if page < self.slots.len() {
-                self.share_slot(page, &pages[page]);
-            }
-        }
-    }
-
-    /// Full restore: swaps **every** slot (O(pages) pointer swaps — still
-    /// no byte copies) and clears the dirty set.
+    /// Cross-snapshot restore: one pass over the page table that swaps
+    /// every slot not already sharing the snapshot's page (pointer swaps,
+    /// no byte copies) and clears the dirty set. A slot holding the
+    /// snapshot's very `Arc` is identical by construction and left
+    /// untouched, so snapshots that share most pages cost one pointer
+    /// compare per slot plus a swap per page they do not share.
     pub(crate) fn restore_all_from(&mut self, pages: &[Arc<PageBuf>]) {
         for (slot, arc) in self.slots.iter_mut().zip(pages) {
+            if matches!(slot, PageSlot::Shared(a) if Arc::ptr_eq(a, arc)) {
+                continue;
+            }
             let old = std::mem::replace(slot, PageSlot::Shared(Arc::clone(arc)));
             if let PageSlot::Owned(b) = old {
                 self.spare.push(b);
@@ -278,22 +238,14 @@ impl PagedMem {
 
     /// Snapshot capture: converts every owned page into a shared `Arc`
     /// (one 4 KiB copy each — the only bytes a capture ever copies),
-    /// returns the full page table as `Arc` clones plus per-page hashes,
-    /// and clears the dirty set (the machine is now bit-identical to the
-    /// capture, which becomes its new base).
-    ///
-    /// `base_hashes` are the hashes of the machine's previous base
-    /// snapshot: clean pages are bit-identical to that base, so their
-    /// hashes are reused and only dirty pages are rehashed. Without a
-    /// matching base every page is hashed.
+    /// returns the full page table as `Arc` clones, and clears the dirty
+    /// set (the machine is now bit-identical to the capture, which
+    /// becomes its new base).
     ///
     /// The second return value is the number of bytes materialized (owned
     /// pages copied into fresh `Arc`s) — the true incremental cost of the
     /// capture, reported by campaigns as checkpoint capture bytes.
-    pub(crate) fn capture(
-        &mut self,
-        base_hashes: Option<&Arc<[u64]>>,
-    ) -> (Vec<Arc<PageBuf>>, Arc<[u64]>, u64) {
+    pub(crate) fn capture(&mut self) -> (Vec<Arc<PageBuf>>, u64) {
         let mut fresh = 0u64;
         for slot in &mut self.slots {
             if let PageSlot::Owned(b) = slot {
@@ -305,21 +257,6 @@ impl PagedMem {
                 }
             }
         }
-        let hashes: Arc<[u64]> = match base_hashes {
-            Some(h) if h.len() == self.slots.len() => self
-                .slots
-                .iter()
-                .enumerate()
-                .map(|(page, slot)| {
-                    if self.dirty[page >> 6] & (1 << (page & 63)) != 0 {
-                        hash_page(slot.bytes())
-                    } else {
-                        h[page]
-                    }
-                })
-                .collect(),
-            _ => self.slots.iter().map(|s| hash_page(s.bytes())).collect(),
-        };
         let pages: Vec<Arc<PageBuf>> = self
             .slots
             .iter()
@@ -329,7 +266,7 @@ impl PagedMem {
             })
             .collect();
         self.dirty.fill(0);
-        (pages, hashes, fresh)
+        (pages, fresh)
     }
 
     /// Host-side read: copies `out.len()` bytes starting at `start`,
@@ -374,9 +311,13 @@ impl PagedMem {
         self.page_for_write(page)[off] ^= 1 << (bit % 8);
     }
 
-    /// Whether the image equals a snapshot's page table byte-for-byte,
-    /// with the pointer-equality fast path (`Arc::ptr_eq` pages are
-    /// identical by construction).
+    /// Whether the image equals a snapshot's page table byte-for-byte. A
+    /// slot sharing the snapshot's `Arc` is identical by construction and
+    /// accepted without reading it; every other slot is compared bytewise.
+    /// The one memory comparison [`Machine::state_eq`] makes, whatever
+    /// snapshot the image is based on.
+    ///
+    /// [`Machine::state_eq`]: crate::Machine::state_eq
     pub(crate) fn eq_pages(&self, pages: &[Arc<PageBuf>]) -> bool {
         if pages.len() != self.slots.len() {
             return false;
@@ -386,24 +327,6 @@ impl PagedMem {
             PageSlot::Owned(b) => **b == **arc,
         })
     }
-}
-
-/// Hashes one page of guest memory (any non-cryptographic mixer works:
-/// [`Machine::state_eq`](crate::Machine::state_eq) only ever uses hash
-/// *inequality* as evidence, so collisions cost a fallback comparison,
-/// never correctness).
-pub(crate) fn hash_page(bytes: &[u8]) -> u64 {
-    let mut h = 0x9E37_79B9_7F4A_7C15u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let v = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-        h = (h ^ v).wrapping_mul(0x2545_F491_4F6C_DD1D);
-        h ^= h >> 29;
-    }
-    for &b in chunks.remainder() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Pre-access check shared by loads and stores: alignment first (so a
@@ -513,4 +436,41 @@ pub(crate) fn store_f64_mem(mem: &mut PagedMem, addr: u32, value: f64) -> Result
     let p = mem.page_for_write(addr as usize / PAGE_SIZE);
     p[o..o + 8].copy_from_slice(&value.to_le_bytes());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A cross-snapshot restore leaves a slot that already shares the
+    /// target's page alone and swaps every other slot, owned or shared
+    /// with another snapshot, recycling the displaced owned boxes.
+    #[test]
+    fn restore_all_from_swaps_only_slots_not_sharing_the_target() {
+        let mut mem = PagedMem::new_zeroed(3 * PAGE_SIZE);
+        for page in 0..3 {
+            mem.copy_in(page * PAGE_SIZE, &[page as u8 + 1; 8]);
+        }
+        let (target, _) = mem.capture();
+        // Slot 1 goes to another snapshot's `Arc`, slot 2 is owned; slot 0
+        // keeps sharing the target's page.
+        mem.copy_in(PAGE_SIZE, &[7; 8]);
+        let (other, _) = mem.capture();
+        mem.copy_in(2 * PAGE_SIZE, &[9; 8]);
+        assert!(matches!(mem.slots[0], PageSlot::Shared(ref a) if Arc::ptr_eq(a, &target[0])));
+        assert!(matches!(mem.slots[1], PageSlot::Shared(ref a) if Arc::ptr_eq(a, &other[1])));
+        assert!(matches!(mem.slots[2], PageSlot::Owned(_)));
+        let shared_count = Arc::strong_count(&target[0]);
+        let spare = mem.spare.len();
+
+        mem.restore_all_from(&target);
+        for (slot, arc) in mem.slots.iter().zip(&target) {
+            assert!(matches!(slot, PageSlot::Shared(a) if Arc::ptr_eq(a, arc)));
+        }
+        assert_eq!(Arc::strong_count(&target[0]), shared_count);
+        assert_eq!(mem.spare.len(), spare + 1, "the owned box is recycled");
+        assert_eq!(mem.dirty_page_count(), 0);
+        assert!(mem.eq_pages(&target));
+        assert!(!mem.eq_pages(&other));
+    }
 }
