@@ -1,14 +1,17 @@
-//! Paper-scale fault-campaign bench: 1024 trials (Table-2 order of
-//! magnitude) against a medium golden run, checkpointing on vs. off.
+//! Paper-scale fault-campaign bench: 1024 two-flip trials (Table-2 order
+//! of magnitude) against a medium golden run, checkpointing on vs. off.
 //!
 //! The 24-trial `campaign` bench measures restore mechanics on a handful
 //! of trials; this bench runs enough trials that every checkpoint group
 //! is visited by several workers, so trial machines restore both the
-//! checkpoint they are based on and other checkpoints. The warmup
+//! checkpoint they are based on and other checkpoints. Two flips per
+//! trial let a trial whose first flip is masked rejoin the golden run and
+//! fast-forward to the checkpoint before its second. The warmup
 //! campaign's records are compared with from-scratch trials and must
-//! include cross-checkpoint restores (asserted); the trajectory gate
-//! (`bench_trajectory`) tracks the headline speedup *and* fails if the
-//! timed campaign's cross-checkpoint restore count reads zero.
+//! include cross-checkpoint restores and fast-forwards (asserted); the
+//! trajectory gate (`bench_trajectory`) tracks the headline speedup *and*
+//! fails if the timed campaign's cross-checkpoint restore count or its
+//! fast-forward count reads zero.
 //!
 //! With the `aot` feature the checkpointed campaign runs its golden run
 //! *and its trials* on tier-4 native code, while the from-scratch
@@ -102,7 +105,7 @@ fn trial_count() -> usize {
 fn campaign_config(checkpointing: bool) -> CampaignConfig {
     CampaignConfig {
         trials: trial_count(),
-        errors: 1,
+        errors: 2,
         protection: Protection::ControlOnly,
         seed: 0x7AB1E2,
         checkpointing,
@@ -147,7 +150,10 @@ fn bench_campaign_paper(c: &mut Criterion) {
         checkpointing: false,
         ..warm_cfg.clone()
     };
-    let fast = run_campaign_with_aot(&target, &tags, &warm_cfg, aot);
+    let warm = CampaignSession::new_with_aot(&target, &tags, &warm_cfg, aot);
+    let warm_trials = warm.run_all();
+    let warm_fast_forwards = warm.fast_forwards();
+    let fast = warm.finish(warm_trials);
     let slow = run_campaign(&target, &tags, &warm_scratch_cfg);
     for (i, (a, b)) in fast.trials.iter().zip(&slow.trials).enumerate() {
         assert_eq!(a, b, "trial {i} record must match");
@@ -157,6 +163,11 @@ fn bench_campaign_paper(c: &mut Criterion) {
         "the checkpointed warmup must restore across checkpoints, so the records just \
          compared cover cross-checkpoint restores: {:?}",
         fast.restore_stats
+    );
+    assert!(
+        warm_fast_forwards > 0,
+        "the checkpointed warmup must fast-forward between flips, so the records just \
+         compared cover restores ahead of a pending flip"
     );
 
     // Golden-phase margin, measured on its own: session construction is
@@ -177,14 +188,13 @@ fn bench_campaign_paper(c: &mut Criterion) {
     let session_native = start.elapsed();
     let golden_speedup = session_interpreted.as_secs_f64() / session_native.as_secs_f64().max(1e-9);
 
-    // Headline: one timed campaign per mode at full scale.
+    // Headline: one timed campaign per mode at full scale (the
+    // checkpointed one through its session, which counts fast-forwards).
     let start = Instant::now();
-    let timed = std::hint::black_box(run_campaign_with_aot(
-        &target,
-        &tags,
-        &campaign_config(true),
-        aot,
-    ));
+    let session = CampaignSession::new_with_aot(&target, &tags, &campaign_config(true), aot);
+    let timed_trials = session.run_all();
+    let fast_forwards = session.fast_forwards();
+    let timed = std::hint::black_box(session.finish(timed_trials));
     let with_checkpoints = start.elapsed();
     let start = Instant::now();
     std::hint::black_box(run_campaign_with_aot(
@@ -219,8 +229,9 @@ fn bench_campaign_paper(c: &mut Criterion) {
         golden_speedup
     );
     println!(
-        "paper campaign restores: {} dirty-page, {} diff-hop, {} full-image",
-        rs.dirty_page, rs.diff_hop, rs.full_image
+        "paper campaign restores: {} dirty-page, {} diff-hop, {} full-image ({} of them \
+         fast-forwards between flips)",
+        rs.dirty_page, rs.diff_hop, rs.full_image, fast_forwards
     );
 
     let json = format!(
@@ -228,7 +239,7 @@ fn bench_campaign_paper(c: &mut Criterion) {
          \"checkpointing_on_secs\":{:.6},\"checkpointing_off_secs\":{:.6},\
          \"speedup\":{:.3},\"trials_per_second\":{:.3},\"checkpoint_capture_bytes\":{},\
          \"restores_dirty_page\":{},\"restores_diff_hop\":{},\"restores_full_image\":{},\
-         \"aot_golden\":{},\"trials_tier_checkpointing_on\":\"{}\",\
+         \"fast_forwards\":{},\"aot_golden\":{},\"trials_tier_checkpointing_on\":\"{}\",\
          \"trials_tier_checkpointing_off\":\"interpreter\",\
          \"session_build_secs_interpreted\":{:.6},\
          \"session_build_secs_native\":{:.6},\"golden_session_speedup\":{:.3}}}\n",
@@ -242,6 +253,7 @@ fn bench_campaign_paper(c: &mut Criterion) {
         rs.dirty_page,
         rs.diff_hop,
         rs.full_image,
+        fast_forwards,
         aot.is_some(),
         tier_on,
         session_interpreted.as_secs_f64(),

@@ -157,25 +157,29 @@ fn main() -> ExitCode {
             }
         }
     }
-    // Liveness gate on the paper-scale campaign's cross-checkpoint
-    // restores: a table-scale campaign's workers sweep every checkpoint
-    // group, so a zero count means trial machines never left the
-    // checkpoint they were based on and the timed campaign did not
-    // exercise the one-pass restore between checkpoints.
+    // Liveness gates on the paper-scale campaign. Its workers sweep every
+    // checkpoint group, so zero cross-checkpoint restores means trial
+    // machines never left the checkpoint they were based on and the timed
+    // campaign did not exercise the one-pass restore between checkpoints.
+    // Most of its two-flip trials mask their first flip, so zero
+    // fast-forwards means no trial restored ahead to its second flip.
     let paper_path = root.join("BENCH_campaign_paper.json");
-    match read_metric(&paper_path, "restores_diff_hop") {
-        Ok(hops) if hops > 0.0 => {
-            println!("campaign_paper: restores_diff_hop {hops:.0} — ok");
-        }
-        Ok(_) => {
-            eprintln!(
-                "campaign_paper: restores_diff_hop is ZERO — no cross-checkpoint restore ran"
-            );
-            failed = true;
-        }
-        Err(e) => {
-            eprintln!("bench_trajectory: {e} (run the campaign_paper bench first)");
-            failed = true;
+    for (key, missing) in [
+        ("restores_diff_hop", "no cross-checkpoint restore ran"),
+        ("fast_forwards", "no trial fast-forwarded between flips"),
+    ] {
+        match read_metric(&paper_path, key) {
+            Ok(count) if count > 0.0 => {
+                println!("campaign_paper: {key} {count:.0} — ok");
+            }
+            Ok(_) => {
+                eprintln!("campaign_paper: {key} is ZERO — {missing}");
+                failed = true;
+            }
+            Err(e) => {
+                eprintln!("bench_trajectory: {e} (run the campaign_paper bench first)");
+                failed = true;
+            }
         }
     }
 

@@ -19,21 +19,25 @@
 //!    for register plans ([`FaultPlan`]), by dynamic instruction count for
 //!    memory-cell plans ([`MemoryFaultPlan`]) — so the skipped prefix,
 //!    which carries no flips, is never re-executed.
-//! 3. **Detects reconvergence adaptively**: probing is only meaningful
-//!    once every planned flip has been applied, so after its last flip's
-//!    checkpoint the trial runs *straight through* the intermediate
-//!    checkpoints without pausing (pauses also force the simulator out of
-//!    its superblock traces, so fewer pauses mean faster trial
-//!    execution). The first probe lands at the first checkpoint past the
-//!    plan's latest injection point; if the states are bit-identical
-//!    ([`Machine::state_eq`] — a pointer compare per page, and a byte
-//!    compare only of the pages the trial does not share with the
-//!    checkpoint) the rest of the run *is* the golden run, and the
-//!    golden outcome/output are spliced in without executing the suffix.
-//!    A trial that has not reconverged backs off exponentially (probe
-//!    gaps 1, 2, 4, … checkpoints): masked flips — the common case under
-//!    protection — splice at the first probe, while persistently
-//!    divergent trials stop paying per-checkpoint pauses.
+//! 3. **Rejoins the golden run between and after flips**: the trial
+//!    walks the later checkpoints, pausing at some to probe whether its
+//!    state is bit-identical to the checkpoint's ([`Machine::state_eq`] —
+//!    a pointer compare per page, and a byte compare only of the pages the
+//!    trial does not share with the checkpoint). Between two flips it
+//!    probes only at checkpoints before the next flip's restore
+//!    checkpoint: a trial that has rejoined there, with as many eligible
+//!    writebacks seen as the golden run (register plans; memory plans key
+//!    on the instruction count, which `state_eq` compares), *is* a fresh
+//!    trial of its remaining flips, so it **fast-forwards** — it restores
+//!    the latest checkpoint before its next flip, by the rule of step 2,
+//!    instead of executing the golden stretch up to it. After the last
+//!    flip a rejoined trial *is* the golden run, and the golden
+//!    outcome/output are spliced in without executing the suffix. A trial
+//!    that has not rejoined backs off exponentially (probe gaps 1, 2, 4, …
+//!    checkpoints): masked flips — the common case under protection —
+//!    rejoin at the first probe, while persistently divergent trials stop
+//!    paying per-checkpoint pauses (a pause also forces the simulator out
+//!    of its superblock traces and native regions).
 //! 4. **Schedules for incremental restore**: worker threads
 //!    ([`std::thread::scope`]) each own one reusable [`Machine`]. Trials
 //!    are sorted by restore checkpoint and injection point, then handed
@@ -63,11 +67,14 @@
 //! **Determinism contract**: checkpointed trials are bit-identical —
 //! outcome, output, instruction count, and injected count — to running the
 //! same seed from scratch. Before the earliest flip a trial equals the
-//! golden run, so restoring a golden checkpoint there is exact; after the
+//! golden run, so restoring a golden checkpoint there is exact; between
+//! flips, a fast-forward only happens when the full architectural state
+//! and the count the next flip is keyed on equal the golden run's, which
+//! makes the trial equal the golden run up to its next flip; after the
 //! last flip, splicing only happens when the full architectural state
 //! equals the golden state, which makes the suffix exact too. The
 //! workspace property suite (`tests/property.rs`) verifies this
-//! equivalence across random seeds and workload sizes.
+//! equivalence across random seeds, workload sizes and fault targets.
 //!
 //! # Harness fault containment
 //!
@@ -706,6 +713,9 @@ struct CheckpointSet {
     dirty_restores: AtomicU64,
     diff_restores: AtomicU64,
     full_restores: AtomicU64,
+    /// Restores of trials that rejoined the golden run between two flips
+    /// (see [`run_trial_checkpointed`]); each is also counted by path.
+    fast_forwards: AtomicU64,
 }
 
 impl CheckpointSet {
@@ -722,6 +732,7 @@ impl CheckpointSet {
             dirty_restores: AtomicU64::new(0),
             diff_restores: AtomicU64::new(0),
             full_restores: AtomicU64::new(0),
+            fast_forwards: AtomicU64::new(0),
         }
     }
 
@@ -761,19 +772,18 @@ impl CheckpointSet {
         }
     }
 
-    /// The latest checkpoint a trial with this plan can restore from:
-    /// register plans compare against the checkpoint's eligible-writeback
-    /// count, memory plans against its dynamic instruction count (strictly
-    /// below the earliest flip boundary, which is where the flip *pauses*,
-    /// so restoring there would skip it).
-    fn restore_index(&self, plan: &TrialPlan) -> usize {
-        let earliest = plan.earliest_injection().expect("plan is non-empty");
+    /// The latest checkpoint a trial of this plan can restore from with a
+    /// flip at `at` still ahead: register plans compare against the
+    /// checkpoint's eligible-writeback count, memory plans against its
+    /// dynamic instruction count (strictly below the flip boundary, which
+    /// is where the flip *pauses*, so restoring there would skip it).
+    fn restore_before(&self, plan: &TrialPlan, at: u64) -> usize {
         match plan {
-            TrialPlan::Reg(_) => self.eligible_seen.partition_point(|&e| e <= earliest),
+            TrialPlan::Reg(_) => self.eligible_seen.partition_point(|&e| e <= at),
             TrialPlan::Mem(_) => self
                 .golden
                 .checkpoints
-                .partition_point(|c| c.snapshot.instructions() < earliest),
+                .partition_point(|c| c.snapshot.instructions() < at),
         }
         .saturating_sub(1)
     }
@@ -1095,13 +1105,6 @@ enum TrialPlan {
 }
 
 impl TrialPlan {
-    fn is_empty(&self) -> bool {
-        match self {
-            TrialPlan::Reg(p) => p.is_empty(),
-            TrialPlan::Mem(p) => p.is_empty(),
-        }
-    }
-
     fn earliest_injection(&self) -> Option<u64> {
         match self {
             TrialPlan::Reg(p) => p.earliest_injection(),
@@ -1158,25 +1161,26 @@ fn run_sliced<H: WritebackHook>(
     }
 }
 
-/// Applies a memory-cell plan's flips at their instruction boundaries:
-/// runs to each boundary (on `aot` when supplied), flips the planned
-/// data-segment bit through the copy-on-write store, and counts the flips
-/// that landed. Returns the run's result if it finished before (or at)
-/// some boundary, `Ok(None)` if all boundaries were passed with the run
-/// still going, and `Err(TrialExec::TimedOut)` on a blown deadline.
+/// Applies memory-cell flips (a run of [`MemoryFaultPlan::triples`]) at
+/// their instruction boundaries: runs to each boundary (on `aot` when
+/// supplied), flips the planned data-segment bit through the
+/// copy-on-write store, and counts the flips that landed. Returns the
+/// run's result if it finished before (or at) some boundary, `Ok(None)` if
+/// all boundaries were passed with the run still going, and
+/// `Err(TrialExec::TimedOut)` on a blown deadline.
 fn apply_memory_flips(
     machine: &mut Machine<'_>,
-    plan: &MemoryFaultPlan,
+    flips: &[(u64, u32, u8)],
     aot: Option<&AotProgram>,
     injected: &mut u32,
     deadline: Instant,
 ) -> Result<Option<RunResult>, TrialExec> {
-    for &(at, offset, bit) in plan.triples() {
+    for &(at, offset, bit) in flips {
         if at <= machine.instructions() {
             // Resumed past this boundary (cannot happen from the campaign
-            // scheduler, which restores strictly below the earliest flip,
-            // but explicit plans could): the flip is missed, exactly as a
-            // hook attached late would miss it.
+            // scheduler, which restores strictly below each pending
+            // flip): the flip is missed, exactly as a hook attached late
+            // would miss it.
             continue;
         }
         match run_until(machine, &mut NoHook, aot, at) {
@@ -1228,8 +1232,13 @@ fn run_trial_scratch(
         }
         TrialPlan::Mem(plan) => {
             let mut injected = 0u32;
-            let early = match apply_memory_flips(&mut machine, plan, None, &mut injected, deadline)
-            {
+            let early = match apply_memory_flips(
+                &mut machine,
+                plan.triples(),
+                None,
+                &mut injected,
+                deadline,
+            ) {
                 Ok(early) => early,
                 Err(timed_out) => return timed_out,
             };
@@ -1260,165 +1269,208 @@ fn run_trial_scratch(
 
 /// Largest reconvergence-probe gap (in checkpoints) the exponential
 /// backoff reaches. Bounded so a trial that diverges early but heals late
-/// still splices within a few probes of healing, while a persistently
+/// still rejoins within a few probes of healing, while a persistently
 /// divergent trial pays at most O(log checkpoints) pauses.
 const MAX_PROBE_GAP: usize = 8;
 
-/// Runs one trial from the nearest golden checkpoint at or before its
-/// earliest injection point, reusing `machine`'s buffers (restore is
-/// pointer swaps into existing page slots, never an allocation).
+/// A checkpointed trial's flips, applied as it runs: register plans by
+/// the injector's writeback hook, memory plans by pausing at each
+/// boundary.
+enum Flips<'p> {
+    Reg(Injector),
+    Mem {
+        plan: &'p MemoryFaultPlan,
+        /// Position in the plan of the next flip to apply.
+        next: usize,
+        injected: u32,
+    },
+}
+
+impl Flips<'_> {
+    /// The key — an eligible-writeback index or an instruction boundary —
+    /// of the first flip still to apply for which `passed` is false
+    /// (`passed` must hold for a prefix of the flips), or `None`.
+    fn pending(&self, passed: impl Fn(u64) -> bool) -> Option<u64> {
+        fn first<F>(
+            flips: &[F],
+            key: impl Fn(&F) -> u64,
+            passed: impl Fn(u64) -> bool,
+        ) -> Option<u64> {
+            flips
+                .get(flips.partition_point(|f| passed(key(f))))
+                .map(key)
+        }
+        match self {
+            Flips::Reg(injector) => first(injector.pending(), |&(at, _)| at, passed),
+            Flips::Mem { plan, next, .. } => {
+                first(&plan.triples()[*next..], |&(at, _, _)| at, passed)
+            }
+        }
+    }
+
+    fn injected(&self) -> u32 {
+        match self {
+            Flips::Reg(injector) => injector.injected(),
+            Flips::Mem { injected, .. } => *injected,
+        }
+    }
+
+    /// Whether the count the pending flip is keyed on equals the golden
+    /// run's at checkpoint `index`: the injector's eligible writebacks for
+    /// a register plan (two equal-length paths can retire different
+    /// numbers of them, so [`Machine::state_eq`] does not imply it); for a
+    /// memory plan the instruction count, which `state_eq` compares.
+    fn on_golden_count(&self, set: &CheckpointSet, index: usize) -> bool {
+        match self {
+            Flips::Reg(injector) => injector.eligible_seen() == set.eligible_seen[index],
+            Flips::Mem { .. } => true,
+        }
+    }
+
+    /// Restores checkpoint `index`, which must lie before the pending flip
+    /// ([`CheckpointSet::restore_before`]), and seeks the injector to the
+    /// golden run's count there.
+    fn restore(&mut self, set: &CheckpointSet, machine: &mut Machine<'_>, index: usize) {
+        set.restore(machine, index);
+        if let Flips::Reg(injector) = self {
+            injector.seek(set.eligible_seen[index]);
+        }
+    }
+
+    /// Runs `machine` to instruction `bound` (on `aot` when supplied),
+    /// applying the flips due on the way.
+    fn run_until(
+        &mut self,
+        machine: &mut Machine<'_>,
+        aot: Option<&AotProgram>,
+        bound: u64,
+        deadline: Instant,
+    ) -> Result<BoundedRun, TrialExec> {
+        match self {
+            Flips::Reg(injector) => Ok(run_until(machine, injector, aot, bound)),
+            Flips::Mem {
+                plan,
+                next,
+                injected,
+            } => {
+                let rest = &plan.triples()[*next..];
+                let due = &rest[..rest.partition_point(|&(at, _, _)| at <= bound)];
+                *next += due.len();
+                if let Some(result) = apply_memory_flips(machine, due, aot, injected, deadline)? {
+                    return Ok(BoundedRun::Finished(result));
+                }
+                Ok(run_until(machine, &mut NoHook, aot, bound))
+            }
+        }
+    }
+}
+
+/// Runs one trial in one walk over the golden checkpoints, reusing
+/// `machine`'s buffers (restore is pointer swaps into existing page slots,
+/// never an allocation).
 ///
-/// Reconvergence probing is adaptive: the first probe lands at the first
-/// checkpoint past the plan's *latest* injection point — probing earlier
-/// can never splice (some planned flip has not fired), so the trial runs
-/// straight through earlier checkpoints without pausing, which also keeps
-/// the simulator inside its superblock traces (a pause boundary forces
-/// per-op dispatch near it). On a failed probe the gap to the next probe
-/// doubles (1, 2, 4, … up to [`MAX_PROBE_GAP`] checkpoints). On a
-/// bit-identical match the golden result is spliced in and the suffix is
-/// skipped — probing later than the actual reconvergence point only costs
-/// execution time, never correctness, because a reconverged trial stays
-/// bit-identical to golden at every later checkpoint too. See the module
-/// docs for why both directions are exact.
-///
-/// Memory-cell plans follow the identical structure with instruction
-/// counts in place of eligible-writeback counts: run to each flip
-/// boundary, flip the planned bit through the copy-on-write store, then
-/// probe for reconvergence past the last boundary.
+/// The trial restores the latest checkpoint before its first flip, then
+/// pauses at later checkpoints to probe whether it has rejoined the golden
+/// run ([`Machine::state_eq`]). Between two flips it probes only before
+/// the pending flip's restore checkpoint
+/// ([`CheckpointSet::restore_before`]), and a rejoined trial whose pending
+/// flip's counter is the golden run's too ([`Flips::on_golden_count`])
+/// *fast-forwards*: it restores that checkpoint instead of executing the
+/// golden stretch up to it. After the last flip a rejoined trial splices
+/// the golden outcome and output in. The module docs say why both are
+/// exact. The walk pauses only where a probe could succeed on the golden
+/// run's schedule, never at a checkpoint whose interval to the next holds
+/// a pending flip, so packed flips run straight through; a failed probe
+/// doubles the gap to the next (1, 2, 4, … up to [`MAX_PROBE_GAP`]
+/// checkpoints), and a fast-forward starts afresh. Probing late only costs
+/// execution time, never correctness.
 ///
 /// When the session has native code, every segment runs on tier 4
 /// ([`Machine::run_until_aot`]): register trials natively up to each
 /// planned flip's block, which the interpreter runs with the injector,
-/// and natively again after the last flip; memory trials natively
-/// throughout. Bit-identical to the interpreter either way.
+/// and natively again after it; memory trials natively throughout.
+/// Bit-identical to the interpreter either way.
 fn run_trial_checkpointed(
     session: &CampaignSession<'_>,
     machine: &mut Machine<'_>,
     plan: &TrialPlan,
     deadline: Instant,
 ) -> TrialExec {
-    let target = session.target;
-    let aot = session.aot.as_ref();
     let golden = &session.golden;
-    let checkpoint_set = session
+    let aot = session.aot.as_ref();
+    let set = session
         .checkpoints
         .as_ref()
         .expect("checkpointed trial runner requires a checkpoint set");
-    let checkpoints = &checkpoint_set.golden.checkpoints;
-    if plan.is_empty() {
-        // No flips will ever fire, so the trial *is* the golden run.
-        return TrialExec::Done(TrialResult {
+    let mut flips = match plan {
+        TrialPlan::Reg(plan) => Flips::Reg(session.injector(plan)),
+        TrialPlan::Mem(plan) => Flips::Mem {
+            plan,
+            next: 0,
+            injected: 0,
+        },
+    };
+    let on_golden_run = |injected| {
+        TrialExec::Done(TrialResult {
             outcome: Outcome::Halted,
             output: Some(golden.output.clone()),
             instructions: golden.instructions,
-            injected: 0,
-        });
-    }
-
-    let cp_index = checkpoint_set.restore_index(plan);
-    checkpoint_set.restore(machine, cp_index);
-
-    // Stage 1: apply every planned flip, then find the first probe index.
-    // Register plans inject through the writeback hook while running;
-    // memory plans pause at each flip boundary and flip the stored bit.
-    enum Stage1 {
-        Probing { next_index: usize },
-        Finished(RunResult),
-    }
-    let planned;
-    let mut injector = None;
-    let mut mem_injected = 0u32;
-    let stage1 = match plan {
-        TrialPlan::Reg(plan) => {
-            planned = plan.len() as u32;
-            let latest = plan.latest_injection().expect("plan is non-empty");
-            injector = Some(
-                session
-                    .injector(plan)
-                    .resume_from(checkpoint_set.eligible_seen[cp_index]),
-            );
-            // First checkpoint whose eligible count is past every planned
-            // flip (on the golden path; a control-divergent trial cannot
-            // splice anyway and the injected == planned guard below stays
-            // authoritative).
-            Stage1::Probing {
-                next_index: checkpoint_set
-                    .eligible_seen
-                    .partition_point(|&e| e <= latest),
-            }
-        }
-        TrialPlan::Mem(plan) => {
-            planned = plan.len() as u32;
-            let latest = plan.latest_injection().expect("plan is non-empty");
-            match apply_memory_flips(machine, plan, aot, &mut mem_injected, deadline) {
-                Ok(None) => Stage1::Probing {
-                    next_index: checkpoints
-                        .partition_point(|c| c.snapshot.instructions() <= latest),
-                },
-                Ok(Some(result)) => Stage1::Finished(result),
-                Err(timed_out) => return timed_out,
-            }
-        }
+            injected,
+        })
     };
-
-    // Stage 2: run toward completion, pausing at probe checkpoints to
-    // test for reconvergence with the golden run.
-    let injected_now = |injector: &Option<Injector>, mem_injected: u32| match injector {
-        Some(inj) => inj.injected(),
-        None => mem_injected,
+    let Some(first) = flips.pending(|_| false) else {
+        // No flips will ever fire, so the trial *is* the golden run.
+        return on_golden_run(0);
     };
-    let result = match stage1 {
-        Stage1::Finished(result) => result,
-        Stage1::Probing { mut next_index } => {
-            let mut probe_gap = 1usize;
-            loop {
-                let Some(next_cp) = checkpoints.get(next_index) else {
-                    // Past the last probe point: run out the remainder in
-                    // deadline-checked slices.
-                    let slice = session.run_slice;
-                    let finished = match &mut injector {
-                        Some(inj) => run_sliced(machine, inj, aot, deadline, slice),
-                        None => run_sliced(machine, &mut NoHook, aot, deadline, slice),
-                    };
-                    match finished {
-                        Some(result) => break result,
-                        None => return TrialExec::TimedOut,
-                    }
-                };
-                let bound = next_cp.snapshot.instructions();
-                let paused = match &mut injector {
-                    Some(inj) => run_until(machine, inj, aot, bound),
-                    None => run_until(machine, &mut NoHook, aot, bound),
-                };
-                match paused {
-                    BoundedRun::Finished(result) => break result,
-                    BoundedRun::Paused => {
-                        if Instant::now() >= deadline {
-                            return TrialExec::TimedOut;
-                        }
-                        if injected_now(&injector, mem_injected) == planned
-                            && machine.state_eq(&next_cp.snapshot)
-                        {
-                            // Every planned flip is applied and the state
-                            // has reconverged with the golden run (the
-                            // flips were masked): the remainder is
-                            // bit-identical to golden.
-                            return TrialExec::Done(TrialResult {
-                                outcome: Outcome::Halted,
-                                output: Some(golden.output.clone()),
-                                instructions: golden.instructions,
-                                injected: planned,
-                            });
-                        }
-                        next_index += probe_gap;
-                        probe_gap = (probe_gap * 2).min(MAX_PROBE_GAP);
-                    }
+    let restored = set.restore_before(plan, first);
+    flips.restore(set, machine, restored);
+    let (mut next, mut gap) = (restored, 1);
+    let result = loop {
+        // Pause only where a probe can succeed if the trial keeps to the
+        // golden run's schedule: not at the restore checkpoint of the flip
+        // pending there.
+        while next < set.golden.checkpoints.len()
+            && flips
+                .pending(|at| set.restore_before(plan, at) < next)
+                .is_some_and(|at| set.restore_before(plan, at) == next)
+        {
+            next += 1;
+        }
+        // Past the last checkpoint the run goes on in deadline-checked
+        // slices.
+        let probe = set.golden.checkpoints.get(next);
+        let bound = match probe {
+            Some(cp) => cp.snapshot.instructions(),
+            None => machine.instructions().saturating_add(session.run_slice),
+        };
+        match flips.run_until(machine, aot, bound, deadline) {
+            Ok(BoundedRun::Finished(result)) => break result,
+            Ok(BoundedRun::Paused) if Instant::now() < deadline => {}
+            Ok(BoundedRun::Paused) => return TrialExec::TimedOut,
+            Err(timed_out) => return timed_out,
+        }
+        let Some(cp) = probe else { continue };
+        match flips.pending(|_| false) {
+            None if machine.state_eq(&cp.snapshot) => return on_golden_run(flips.injected()),
+            Some(at) => {
+                let ahead = set.restore_before(plan, at);
+                if next < ahead
+                    && flips.on_golden_count(set, next)
+                    && machine.state_eq(&cp.snapshot)
+                {
+                    flips.restore(set, machine, ahead);
+                    set.fast_forwards.fetch_add(1, Ordering::Relaxed);
+                    (next, gap) = (ahead + 1, 1);
+                    continue;
                 }
             }
+            None => {}
         }
+        next += gap;
+        gap = (gap * 2).min(MAX_PROBE_GAP);
     };
     let output = if result.outcome == Outcome::Halted {
-        target.extract(machine)
+        session.target.extract(machine)
     } else {
         None
     };
@@ -1426,7 +1478,7 @@ fn run_trial_checkpointed(
         outcome: result.outcome,
         output,
         instructions: result.instructions,
-        injected: injected_now(&injector, mem_injected),
+        injected: flips.injected(),
     })
 }
 
@@ -1768,6 +1820,17 @@ impl<'a> CampaignSession<'a> {
             .map_or_else(RestoreStats::default, CheckpointSet::stats)
     }
 
+    /// How many of the restores in [`CampaignSession::restore_stats`] were
+    /// trials that rejoined the golden run between two flips and restored
+    /// the checkpoint before their next flip (see the module docs). Monotone,
+    /// like the restore counters.
+    #[must_use]
+    pub fn fast_forwards(&self) -> u64 {
+        self.checkpoints
+            .as_ref()
+            .map_or(0, |c| c.fast_forwards.load(Ordering::Relaxed))
+    }
+
     /// A deterministic digest of everything that shapes trial results:
     /// the result-affecting configuration fields and the golden run
     /// (output, instruction count, eligible population). Two processes
@@ -1804,7 +1867,7 @@ impl<'a> CampaignSession<'a> {
     fn sort_key(&self, trial: u32) -> (usize, u64) {
         let plan = &self.plans[trial as usize];
         match (&self.checkpoints, plan.earliest_injection()) {
-            (Some(set), Some(earliest)) => (set.restore_index(plan), earliest),
+            (Some(set), Some(earliest)) => (set.restore_before(plan, earliest), earliest),
             _ => (usize::MAX, u64::MAX),
         }
     }
@@ -2001,7 +2064,7 @@ mod tests {
     use super::*;
     use certa_asm::Asm;
     use certa_core::analyze;
-    use certa_isa::reg::{T0, T1, T2, T3};
+    use certa_isa::reg::{S0, S1, S2, T0, T1, T2, T3, T5, T6};
 
     use crate::injector::EligibleCounter;
 
@@ -2222,6 +2285,179 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A loop whose parity branch takes one of two equal-length paths, each
+    /// rewriting a register with the value it already holds: the odd
+    /// path's `li` feeds a branch after the loop (control), the even
+    /// path's feeds only the sum (low reliability). A flip of the parity
+    /// value switches paths, and the trial rejoins the golden state once
+    /// the next iteration recomputes it, but under
+    /// [`Protection::DataOnly`] the odd path retires one more eligible
+    /// writeback than the even path. Every iteration stores the sum, so a
+    /// memory flip of its slot is overwritten within one iteration.
+    struct PathSwitchTarget {
+        program: Program,
+        output_addr: u32,
+        /// Instruction indices of the odd and the even path's `li`.
+        paths: (usize, usize),
+    }
+
+    impl PathSwitchTarget {
+        fn new() -> Self {
+            let mut a = Asm::new();
+            let output_addr = a.data_zero(8);
+            a.func("kernel", true);
+            a.la(S2, output_addr);
+            a.li(S0, 0);
+            a.li(S1, 48);
+            a.li(T5, 7);
+            a.li(T6, 9);
+            a.li(T2, 0);
+            a.label("loop");
+            a.andi(T0, S0, 1);
+            a.beqz(T0, "even");
+            let odd = a.len();
+            a.li(T5, 7);
+            a.j("join");
+            a.label("even");
+            let even = a.len();
+            a.li(T6, 9);
+            a.j("join");
+            a.label("join");
+            a.add(T2, T2, T6);
+            a.sw(T2, 0, S2);
+            a.addi(S0, S0, 1);
+            a.slt(T1, S0, S1);
+            a.bnez(T1, "loop");
+            a.beqz(T5, "done");
+            a.sw(S0, 4, S2);
+            a.label("done");
+            a.ret();
+            a.endfunc();
+            a.func("main", false);
+            a.call("kernel");
+            a.halt();
+            a.endfunc();
+            PathSwitchTarget {
+                program: a.assemble().unwrap(),
+                output_addr,
+                paths: (odd, even),
+            }
+        }
+    }
+
+    impl Target for PathSwitchTarget {
+        fn program(&self) -> &Program {
+            &self.program
+        }
+
+        fn prepare(&self, _machine: &mut Machine<'_>) {}
+
+        fn extract(&self, machine: &Machine<'_>) -> Option<Vec<u8>> {
+            machine.read_bytes(self.output_addr, 8).ok()
+        }
+    }
+
+    /// A trial whose flip switched paths rejoins the golden state but not
+    /// its eligible count, so restoring ahead on `state_eq` alone would key
+    /// its later flips on the wrong writebacks. Records must equal the
+    /// from-scratch run, while trials that rejoin with the golden count
+    /// still fast-forward.
+    #[test]
+    fn fast_forward_requires_the_golden_eligible_count() {
+        let t = PathSwitchTarget::new();
+        let tags = analyze(&t.program);
+        let (odd, even) = t.paths;
+        assert!(
+            !tags.is_low_reliability(odd) && tags.is_low_reliability(even),
+            "only the odd path's rewrite is eligible under DataOnly"
+        );
+        for errors in [2, 3] {
+            let config = CampaignConfig {
+                trials: 128,
+                errors,
+                protection: Protection::DataOnly,
+                threads: 1,
+                checkpoint_stride: 16,
+                ..CampaignConfig::default()
+            };
+            let session = CampaignSession::new(&t, &tags, &config);
+            let fast = session.run_all();
+            assert!(
+                session.fast_forwards() > 0,
+                "masked flips must fast-forward at {errors} errors"
+            );
+            let slow = run_campaign(
+                &t,
+                &tags,
+                &CampaignConfig {
+                    checkpointing: false,
+                    ..config
+                },
+            );
+            for (i, (a, b)) in fast.iter().zip(&slow.trials).enumerate() {
+                assert_eq!(a, b, "trial {i} record at {errors} errors");
+            }
+        }
+    }
+
+    /// Memory plans restore, and so probe, only at checkpoints strictly
+    /// before the pending flip boundary: a flip planned exactly at a
+    /// checkpoint's instruction count must land whether it is a trial's
+    /// first flip or the one a fast-forward stops before (restoring that
+    /// checkpoint would skip it).
+    #[test]
+    fn memory_flips_on_a_checkpoint_boundary_still_land() {
+        let t = PathSwitchTarget::new();
+        let tags = analyze(&t.program);
+        let config = CampaignConfig {
+            trials: 2,
+            target: FaultTarget::MemoryCells,
+            threads: 1,
+            checkpoint_stride: 16,
+            ..CampaignConfig::default()
+        };
+        let mut fast = CampaignSession::new(&t, &tags, &config);
+        let mut slow = CampaignSession::new(
+            &t,
+            &tags,
+            &CampaignConfig {
+                checkpointing: false,
+                ..config
+            },
+        );
+        let at: Vec<u64> = fast.checkpoints.as_ref().unwrap().golden.checkpoints[..8]
+            .iter()
+            .map(|c| c.snapshot.instructions())
+            .collect();
+        // Offset 0 is the sum's slot: the first flip of trial 0 is
+        // overwritten before checkpoint 3, which lies before the second
+        // flip's restore checkpoint 5.
+        let plans = vec![
+            TrialPlan::Mem(MemoryFaultPlan::from_triples(&[
+                (at[2] + 3, 0, 0),
+                (at[6], 0, 1),
+            ])),
+            TrialPlan::Mem(MemoryFaultPlan::from_triples(&[(at[4], 0, 2)])),
+        ];
+        fast.plans.clone_from(&plans);
+        slow.plans = plans;
+        let records = fast.run_all();
+        assert_eq!(
+            fast.fast_forwards(),
+            1,
+            "trial 0 rejoins after its first flip"
+        );
+        assert_eq!(records, slow.run_all());
+        for record in &records {
+            assert_eq!(
+                record.result().unwrap().output,
+                Some(fast.golden.output.clone())
+            );
+        }
+        assert_eq!(records[0].result().unwrap().injected, 2);
+        assert_eq!(records[1].result().unwrap().injected, 1);
     }
 
     /// The determinism contract holds for memory-cell campaigns too: the
@@ -2489,12 +2725,12 @@ mod tests {
 
     /// The campaign surfaces the restore breakdown, and it accounts for
     /// every checkpointed trial restore: one per trial with a non-empty
-    /// plan (an empty plan is the golden run and restores nothing;
-    /// scratch campaigns report zeros).
+    /// plan (an empty plan is the golden run and restores nothing), plus
+    /// one per fast-forward; scratch campaigns report zeros.
     #[test]
     fn campaign_reports_restore_stats() {
-        let t = SumTarget::new();
-        let tags = analyze(&t.program);
+        let sum = SumTarget::new();
+        let switch = PathSwitchTarget::new();
         let cfg = CampaignConfig {
             trials: 16,
             errors: 2,
@@ -2502,26 +2738,45 @@ mod tests {
             checkpoint_stride: 50,
             ..CampaignConfig::default()
         };
-        for errors in [cfg.errors, 0] {
-            let config = CampaignConfig {
-                errors,
-                ..cfg.clone()
-            };
-            let session = CampaignSession::new(&t, &tags, &config);
-            let planned = session.plans.iter().filter(|p| !p.is_empty()).count() as u64;
-            let trials = session.run_all();
-            let r = session.finish(trials);
-            assert_eq!(
-                r.restore_stats.total(),
-                planned,
-                "one restore per trial with a non-empty plan at {errors} errors: {:?}",
-                r.restore_stats
-            );
-            assert_eq!(r.restore_stats.diff_union_cache_hits, 0);
+        let mut all_fast_forwards = 0;
+        for (t, protection) in [
+            (&sum as &dyn Target, Protection::ControlOnly),
+            (&switch, Protection::DataOnly),
+        ] {
+            let tags = analyze(t.program());
+            for errors in [cfg.errors, 0] {
+                let config = CampaignConfig {
+                    errors,
+                    protection,
+                    ..cfg.clone()
+                };
+                let session = CampaignSession::new(t, &tags, &config);
+                let planned = session
+                    .plans
+                    .iter()
+                    .filter(|p| p.earliest_injection().is_some())
+                    .count() as u64;
+                let trials = session.run_all();
+                let fast_forwards = session.fast_forwards();
+                all_fast_forwards += fast_forwards;
+                let r = session.finish(trials);
+                assert_eq!(
+                    r.restore_stats.total(),
+                    planned + fast_forwards,
+                    "one restore per trial with a non-empty plan, plus one per fast-forward, \
+                     at {errors} errors ({protection:?}): {:?}",
+                    r.restore_stats
+                );
+                assert_eq!(r.restore_stats.diff_union_cache_hits, 0);
+            }
         }
+        assert!(
+            all_fast_forwards > 0,
+            "the accounting must cover fast-forwards"
+        );
         let scratch = run_campaign(
-            &t,
-            &tags,
+            &sum,
+            &analyze(&sum.program),
             &CampaignConfig {
                 checkpointing: false,
                 ..cfg

@@ -152,15 +152,6 @@ impl FaultPlan {
         self.flips.first().map(|&(idx, _)| idx)
     }
 
-    /// The largest planned eligible-execution index, or `None` for an
-    /// empty plan. The campaign's reconvergence probe starts at the first
-    /// checkpoint past this point — earlier probes can never splice,
-    /// because not every planned flip has been applied yet.
-    #[must_use]
-    pub fn latest_injection(&self) -> Option<u64> {
-        self.flips.last().map(|&(idx, _)| idx)
-    }
-
     /// The planned `(execution index, bit)` pairs, sorted by index.
     #[must_use]
     pub fn pairs(&self) -> &[(u64, u8)] {
@@ -312,22 +303,25 @@ impl Injector {
     }
 
     /// Seeds the injector as if `eligible_seen` eligible writebacks had
-    /// already happened — used when a trial resumes from a checkpoint
-    /// taken mid-way through the golden run. Planned flips below
-    /// `eligible_seen` are skipped, exactly as they would have been missed
-    /// by a hook attached after that point.
+    /// already happened — used when a trial restores a checkpoint taken
+    /// mid-way through the golden run. Planned flips below `eligible_seen`
+    /// are skipped, exactly as they would have been missed by a hook
+    /// attached after that point.
     ///
-    /// The campaign scheduler only resumes from checkpoints at or before a
-    /// plan's [`FaultPlan::earliest_injection`], so in practice nothing is
-    /// skipped and resumed trials are bit-identical to from-scratch ones.
-    #[must_use]
-    pub fn resume_from(mut self, eligible_seen: u64) -> Self {
+    /// The campaign only restores checkpoints before a trial's next
+    /// planned flip, so in practice nothing is skipped and its trials are
+    /// bit-identical to from-scratch ones.
+    pub(crate) fn seek(&mut self, eligible_seen: u64) {
         self.seen = eligible_seen;
         self.cursor = self
             .plan
             .pairs()
             .partition_point(|&(idx, _)| idx < eligible_seen);
-        self
+    }
+
+    /// The planned flips not yet applied, in order.
+    pub(crate) fn pending(&self) -> &[(u64, u8)] {
+        &self.plan.pairs()[self.cursor..]
     }
 
     /// Number of eligible writebacks observed so far (including those
@@ -387,15 +381,13 @@ impl WritebackHook for Injector {
     /// one; no window without native blocks.
     fn native_window(&self) -> Option<NativeWindow<'_>> {
         let per_block = self.eligible.per_block.as_deref()?;
-        let budget = self
-            .plan
-            .pairs()
-            .get(self.cursor)
-            .map_or(u64::MAX, |&(at, _)| at.saturating_sub(self.seen));
         Some(NativeWindow {
             eligible: &self.eligible.writeback,
             per_block,
-            budget,
+            budget: self
+                .pending()
+                .first()
+                .map_or(u64::MAX, |&(at, _)| at.saturating_sub(self.seen)),
         })
     }
 
@@ -570,8 +562,8 @@ mod tests {
 
         // Resumed at 2: index 1 is in the past and must be skipped; the
         // flip at index 4 fires after two more writebacks (indices 2, 3).
-        let mut resumed =
-            Injector::new(&program, &tags, Protection::None, plan).resume_from(2);
+        let mut resumed = Injector::new(&program, &tags, Protection::None, plan);
+        resumed.seek(2);
         assert_eq!(resumed.eligible_seen(), 2);
         let flipped: Vec<bool> = (0..4)
             .map(|_| resumed.int_writeback(0, 0) != 0)

@@ -193,13 +193,6 @@ impl MemoryFaultPlan {
     pub fn earliest_injection(&self) -> Option<u64> {
         self.flips.first().map(|&(at, _, _)| at)
     }
-
-    /// The latest flip boundary, or `None` for an empty plan.
-    /// Reconvergence probing starts past this point.
-    #[must_use]
-    pub fn latest_injection(&self) -> Option<u64> {
-        self.flips.last().map(|&(at, _, _)| at)
-    }
 }
 
 /// One row of the regime matrix: the verdict distribution of a campaign
@@ -289,10 +282,6 @@ mod tests {
         }
         assert!(plan.triples().windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(plan.earliest_injection(), Some(plan.triples()[0].0));
-        assert_eq!(
-            plan.latest_injection(),
-            Some(plan.triples()[plan.len() - 1].0)
-        );
         assert!(MemoryFaultPlan::sample(&mut rng, 0, 64, 3).is_empty());
         assert!(MemoryFaultPlan::sample(&mut rng, 100, 0, 3).is_empty());
         assert!(MemoryFaultPlan::sample(&mut rng, 100, 64, 0).is_empty());

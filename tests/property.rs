@@ -4,7 +4,9 @@ use proptest::prelude::*;
 
 use certa::asm::Asm;
 use certa::core::{analyze, analyze_with, AnalysisOptions, Tag};
-use certa::fault::{run_campaign, CampaignConfig, Protection, Target};
+use certa::fault::{
+    run_campaign, CampaignConfig, CampaignSession, FaultTarget, Protection, Target,
+};
 use certa::fidelity::{byte_similarity, psnr, snr_db};
 use certa::isa::{reg, AluOp, Instr, Program, Reg, RegRef};
 use certa::sim::{Machine, MachineConfig, Outcome};
@@ -184,17 +186,20 @@ proptest! {
     }
 
     /// The checkpointing determinism contract: for random seeds, all three
-    /// workload sizes, both protection regimes, and varying error counts,
-    /// a checkpoint-accelerated campaign produces trial results that are
-    /// bit-identical (outcome, output, instruction count, injected count)
-    /// to from-scratch execution.
+    /// workload sizes, both protection regimes, register and memory-cell
+    /// plans, and varying error counts, a checkpoint-accelerated campaign
+    /// produces trial results that are bit-identical (outcome, output,
+    /// instruction count, injected count) to from-scratch execution.
     #[test]
     fn checkpointed_campaigns_equal_scratch(seed in any::<u64>()) {
         const SIZES: [usize; 3] = [64, 256, 1024];
         let size = SIZES[(seed % 3) as usize];
-        let errors = (seed >> 2) % 4; // 0..=3, including the no-flip splice path
+        // 0..=5, including the no-flip splice path; several flips straddle
+        // the stride-64 checkpoints, so trials fast-forward between them.
+        let errors = (seed >> 6) % 6;
         let protection = if seed & 2 == 0 { Protection::ControlOnly } else { Protection::None };
-        let threads = if seed & 16 == 0 { 1 } else { 2 }; // bit disjoint from `errors`
+        let threads = if seed & 16 == 0 { 1 } else { 2 };
+        let target_kind = if seed & 32 == 0 { FaultTarget::Registers } else { FaultTarget::MemoryCells };
 
         let target = TransformTarget::new(size);
         let tags = analyze(&target.program);
@@ -202,6 +207,7 @@ proptest! {
             trials: 6,
             errors,
             protection,
+            target: target_kind,
             seed,
             threads,
             checkpoint_stride: 64, // force several checkpoints even when small
@@ -216,6 +222,49 @@ proptest! {
         prop_assert_eq!(fast.golden.eligible_population, slow.golden.eligible_population);
         for (i, (a, b)) in fast.trials.iter().zip(&slow.trials).enumerate() {
             prop_assert_eq!(a, b, "trial {} record (size {})", i, size);
+        }
+    }
+}
+
+/// The fixed-seed companion of `checkpointed_campaigns_equal_scratch`: on
+/// the transform kernel, register plans under both regimes and memory-cell
+/// plans equal the from-scratch run, and trials did fast-forward between
+/// flips, so the equality covers restores ahead of a pending flip.
+#[test]
+fn checkpointed_campaigns_fast_forward_and_equal_scratch() {
+    let target = TransformTarget::new(256);
+    let tags = analyze(&target.program);
+    for (kind, protection) in [
+        (FaultTarget::Registers, Protection::ControlOnly),
+        (FaultTarget::Registers, Protection::None),
+        (FaultTarget::MemoryCells, Protection::None),
+    ] {
+        for seed in [7, 844_410] {
+            let fast_cfg = CampaignConfig {
+                trials: 48,
+                errors: 4,
+                protection,
+                target: kind,
+                seed,
+                threads: 2,
+                checkpoint_stride: 64,
+                ..CampaignConfig::default()
+            };
+            let session = CampaignSession::new(&target, &tags, &fast_cfg);
+            let fast = session.run_all();
+            let scratch = run_campaign(
+                &target,
+                &tags,
+                &CampaignConfig {
+                    checkpointing: false,
+                    ..fast_cfg
+                },
+            );
+            assert_eq!(fast, scratch.trials, "{kind:?} {protection:?} seed {seed}");
+            assert!(
+                session.fast_forwards() > 0,
+                "{kind:?} {protection:?} seed {seed}: no trial fast-forwarded"
+            );
         }
     }
 }
