@@ -11,7 +11,8 @@
 //! include cross-checkpoint restores and fast-forwards (asserted); the
 //! trajectory gate (`bench_trajectory`) tracks the headline speedup *and*
 //! fails if the timed campaign's cross-checkpoint restore count or its
-//! fast-forward count reads zero.
+//! fast-forward count reads zero, or if its golden run holds fewer than 32
+//! checkpoints (the default layout gives it ~48).
 //!
 //! With the `aot` feature the checkpointed campaign runs its golden run
 //! *and its trials* on tier-4 native code, while the from-scratch
@@ -194,6 +195,7 @@ fn bench_campaign_paper(c: &mut Criterion) {
     let session = CampaignSession::new_with_aot(&target, &tags, &campaign_config(true), aot);
     let timed_trials = session.run_all();
     let fast_forwards = session.fast_forwards();
+    let checkpoints = session.checkpoints();
     let timed = std::hint::black_box(session.finish(timed_trials));
     let with_checkpoints = start.elapsed();
     let start = Instant::now();
@@ -216,8 +218,10 @@ fn bench_campaign_paper(c: &mut Criterion) {
         speedup
     );
     println!(
-        "paper campaign rates: {:.1} trials/s, {} checkpoint capture bytes, golden {} instructions",
+        "paper campaign rates: {:.1} trials/s, {} checkpoints, {} checkpoint capture bytes, \
+         golden {} instructions",
         timed.trials_per_second(),
+        checkpoints,
         timed.checkpoint_capture_bytes,
         golden_instructions
     );
@@ -237,7 +241,8 @@ fn bench_campaign_paper(c: &mut Criterion) {
     let json = format!(
         "{{\"bench\":\"campaign_paper\",\"golden_instructions\":{},\"trials\":{},\
          \"checkpointing_on_secs\":{:.6},\"checkpointing_off_secs\":{:.6},\
-         \"speedup\":{:.3},\"trials_per_second\":{:.3},\"checkpoint_capture_bytes\":{},\
+         \"speedup\":{:.3},\"trials_per_second\":{:.3},\"checkpoints\":{},\
+         \"checkpoint_capture_bytes\":{},\
          \"restores_dirty_page\":{},\"restores_diff_hop\":{},\"restores_full_image\":{},\
          \"fast_forwards\":{},\"aot_golden\":{},\"trials_tier_checkpointing_on\":\"{}\",\
          \"trials_tier_checkpointing_off\":\"interpreter\",\
@@ -249,6 +254,7 @@ fn bench_campaign_paper(c: &mut Criterion) {
         from_scratch.as_secs_f64(),
         speedup,
         timed.trials_per_second(),
+        checkpoints,
         timed.checkpoint_capture_bytes,
         rs.dirty_page,
         rs.diff_hop,

@@ -8,7 +8,7 @@
 //! the campaign instead:
 //!
 //! 1. **Checkpoints the golden run**: while the fault-free reference
-//!    executes, the campaign records up to 32 [`certa_sim::Snapshot`]s
+//!    executes, the campaign records up to 64 [`certa_sim::Snapshot`]s
 //!    (count auto-tuned from [`CampaignConfig::checkpoint_budget_bytes`]),
 //!    doubling the spacing whenever the budget would be exceeded, and
 //!    remembers each snapshot's per-instruction execution counts, from
@@ -44,8 +44,8 @@
 //!    out in contiguous *chunks*, so a worker's consecutive trials
 //!    restore the very checkpoint the machine is already based on —
 //!    O(pages the previous trial wrote) of pointer swaps. The hops that
-//!    remain (between checkpoint groups) are one pass over the page
-//!    table that swaps only the pages the two checkpoints do not share.
+//!    remain (between checkpoint groups) also swap only the pages of the
+//!    64-page groups the two checkpoints do not share.
 //!    Restores never copy page bytes and never allocate: copy-on-write
 //!    page sharing swaps page pointers and recycles displaced pages.
 //! 5. **Shares the golden half**: the golden run, its checkpoints and the
@@ -111,8 +111,11 @@ use std::time::{Duration, Instant};
 use crate::injector::{Eligibility, ErrorModel, FaultPlan, Injector};
 use crate::regime::{FaultTarget, MemoryFaultPlan, Protection};
 
-/// Hard cap on golden-run checkpoints, regardless of memory budget.
-const MAX_CHECKPOINTS: usize = 32;
+/// Hard cap on golden-run checkpoints, regardless of memory budget. A
+/// capture bumps one reference per unwritten 64-page group, so captures are
+/// cheap next to the golden code between them; with the default budget
+/// and 4 MiB images the budget binds first, at 63.
+const MAX_CHECKPOINTS: usize = 64;
 
 /// Bounds on the per-slice instruction count between wall-clock deadline
 /// checks (see [`derive_run_slice`]).
@@ -220,12 +223,15 @@ pub struct CampaignConfig {
     /// benchmarking and for double-checking the determinism contract.
     pub checkpointing: bool,
     /// Memory budget for golden-run checkpoints in bytes. The checkpoint
-    /// count is `budget / snapshot size`, clamped to `1..=32`.
+    /// count is `budget / snapshot size` ([`certa_sim::Snapshot::size_bytes`],
+    /// the logical image size), clamped to `1..=64`.
     pub checkpoint_budget_bytes: usize,
     /// Initial checkpoint spacing in dynamic instructions. Spacing doubles
     /// (and existing checkpoints are thinned) whenever the count would
     /// exceed the budget, so any golden length ends up with a bounded,
-    /// roughly even checkpoint set.
+    /// roughly even checkpoint set. A checkpointed trial executes about
+    /// one spacing of code per flip, so the default, `1 << 14`, is dense:
+    /// the seven workloads get 6–38 checkpoints each.
     pub checkpoint_stride: u64,
     /// Wall-clock deadline per trial attempt — the escalation above the
     /// instruction-budget watchdog. A watchdog trip is an experimental
@@ -250,7 +256,7 @@ impl Default for CampaignConfig {
             model: ErrorModel::default(),
             checkpointing: true,
             checkpoint_budget_bytes: 256 << 20,
-            checkpoint_stride: 1 << 16,
+            checkpoint_stride: 1 << 14,
             trial_timeout: Duration::from_secs(60),
             harness_faults: HarnessFaultInjection::default(),
         }
@@ -417,9 +423,8 @@ pub struct RestoreStats {
     /// Restores of the checkpoint the machine was already based on: only
     /// the pages the previous trial dirtied were swapped back.
     pub dirty_page: u64,
-    /// Restores of another checkpoint of this campaign, in one pass over
-    /// the page table that swaps the dirty pages and the pages the two
-    /// checkpoints do not share.
+    /// Restores of another checkpoint of this campaign, which swap the
+    /// dirty pages and the pages the two checkpoints do not share.
     pub diff_hop: u64,
     /// Always 0. Kept only because the wire codec, journal records and
     /// their readers carry four restore counters.
@@ -737,10 +742,10 @@ impl CheckpointSet {
     }
 
     /// Restores `machine` to checkpoint `index` ([`Machine::restore`]:
-    /// O(dirty pages) when the machine is already based on it, otherwise
-    /// one pass that swaps only the pages not shared with it) and counts
-    /// the restore by the machine's base: that checkpoint, another of
-    /// this set, or a snapshot outside it.
+    /// O(dirty pages) when the machine is already based on it, plus the
+    /// pages not shared with it otherwise) and counts the restore by the
+    /// machine's base: that checkpoint, another of this set, or a snapshot
+    /// outside it.
     fn restore(&self, machine: &mut Machine<'_>, index: usize) {
         let target = self.golden.snapshot(index);
         let base = machine.base_snapshot_id();
@@ -1783,6 +1788,15 @@ impl<'a> CampaignSession<'a> {
     #[must_use]
     pub fn runs_natively(&self) -> bool {
         self.aot.is_some() && self.checkpoints.is_some()
+    }
+
+    /// Number of golden checkpoints this campaign's trials restore from (0
+    /// without checkpointing).
+    #[must_use]
+    pub fn checkpoints(&self) -> usize {
+        self.checkpoints
+            .as_ref()
+            .map_or(0, |c| c.golden.checkpoints.len())
     }
 
     /// Bytes materialized capturing the golden checkpoints (see

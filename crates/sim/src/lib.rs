@@ -96,16 +96,17 @@
 //! injection point instead of re-executing from instruction zero.
 //!
 //! Memory is a table of copy-on-write 4 KiB pages shared with snapshots
-//! by `Arc`, and sharing one is the only fast path: a shared `Arc` proves
-//! equal bytes. The machine tracks which pages guest stores and host
-//! writes have dirtied since its memory was last synchronized with a
-//! snapshot, and re-restoring that same snapshot swaps only those pages
-//! back ([`Machine::restore`]). Restoring a different snapshot
-//! ([`Machine::restore_full`]) is one pass over the page table that
-//! swaps every page not already shared with it; both paths swap
+//! by `Arc`, 64 pages to a shared group, and sharing one is the only fast
+//! path: a shared `Arc` proves equal bytes. The machine tracks which
+//! pages guest stores and host writes have dirtied since its memory was
+//! last synchronized with a snapshot. A capture rebuilds only the written
+//! groups, and [`Machine::restore`] is one pass over the groups: one the
+//! machine is based on swaps back its dirty pages, any other swaps the
+//! pages not already shared with the target. [`Machine::restore_full`]
+//! makes the per-page pass everywhere, trusting no dirty bit; both swap
 //! pointers, never copy bytes, and are bit-identical.
-//! [`Machine::state_eq`] accepts shared pages without reading them and
-//! compares the rest bytewise.
+//! [`Machine::state_eq`] accepts shared groups and pages without reading
+//! them and compares the rest bytewise.
 //!
 //! **Determinism contract:** the simulator is a pure function of
 //! (program, initial state, hook behavior). Restoring a snapshot taken at

@@ -9,10 +9,10 @@ use certa_isa::{reg, AluOp, FpuOp, FReg, Instr, MemWidth, Program, Reg};
 
 use crate::aot::{AotCtx, AotExit, AotProgram, NativeWindow};
 use crate::decode::{DecodedProgram, MOp, MicroOp, SuperOp};
-use crate::mem::{load_f64_mem, load_mem, store_f64_mem, store_mem, PageBuf, PagedMem};
+use crate::mem::{load_f64_mem, load_mem, store_f64_mem, store_mem, PageGroup, PagedMem};
 
 /// Monotonic id source for [`Snapshot`]s; id 0 is reserved for "no base
-/// snapshot" so a fresh machine never takes the dirty-page restore path.
+/// snapshot" (a freshly loaded machine).
 static SNAPSHOT_IDS: AtomicU64 = AtomicU64::new(1);
 
 /// Simulator configuration.
@@ -176,13 +176,14 @@ impl std::error::Error for MachineError {}
 
 /// A complete copy of the architectural state of a [`Machine`] at an
 /// instruction boundary: register files, program counter, dynamic counters,
-/// and the full memory image as a table of shared 4 KiB pages.
+/// and the full memory image as shared groups of 4 KiB pages.
 ///
 /// Snapshots make fault campaigns cheap: the golden run records them at
 /// intervals, and every trial then [`Machine::restore`]s the latest snapshot
 /// before its first injection point instead of re-executing the prefix.
 /// The page table is copy-on-write-shared with the machine it was captured
-/// from (and with every machine later restored from it): capture
+/// from (and with every machine later restored from it): capture keeps
+/// each unwritten group of 64 pages by one reference bump and
 /// materializes only the pages written since the previous capture, and
 /// restore swaps page pointers instead of copying bytes (see
 /// [`Machine::restore`] and the `mem` module docs).
@@ -192,20 +193,20 @@ impl std::error::Error for MachineError {}
 /// not architectural state.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    /// Identity for dirty-page restore: machines remember the id of the
-    /// snapshot their memory was last synchronized with. Clones share the
-    /// id, which is sound because snapshots are immutable.
+    /// Identity for restore-path accounting: machines remember the id of
+    /// the snapshot their memory was last synchronized with. Clones share
+    /// the id, which is sound because snapshots are immutable.
     id: u64,
     regs: [u32; 32],
     fregs: [f64; 32],
     pc: u64,
     icount: u64,
     value_producing: u64,
-    /// The memory image: one immutable shared page per [`PAGE_SIZE`]
-    /// bytes. Cloning a snapshot (or restoring from it) bumps reference
-    /// counts; nobody can write through these `Arc`s — a machine holding
-    /// one copies the page out before its first write.
-    pages: Vec<Arc<PageBuf>>,
+    /// The memory image: one immutable shared group per 64 pages of 4 KiB.
+    /// Cloning a snapshot bumps one reference count per group; nobody can
+    /// write through these `Arc`s — a machine holding one copies the page
+    /// out before its first write.
+    groups: Vec<PageGroup>,
     /// Addressable bytes (the tail of the last page past this is zero
     /// padding).
     mem_len: usize,
@@ -330,7 +331,7 @@ pub struct Machine<'p> {
     regs: [u32; 32],
     fregs: [f64; 32],
     /// Paged copy-on-write memory image, including the per-page dirty
-    /// bitset (see the `mem` module docs).
+    /// bitset and the base groups (see the `mem` module docs).
     mem: PagedMem,
     pc: u64,
     icount: u64,
@@ -339,8 +340,7 @@ pub struct Machine<'p> {
     profile: bool,
     max_instructions: u64,
     /// Id of the [`Snapshot`] this machine's memory was last synchronized
-    /// with (0 = none): non-dirty pages hold that snapshot's very page
-    /// `Arc`s, which is what makes dirty-page restore exact.
+    /// with (0 = none), for restore-path counters.
     base_snapshot: u64,
     /// Instructions retired inside superblock traces (diagnostics: lets
     /// benches and tests verify the superblock tier actually executed).
@@ -410,12 +410,9 @@ impl<'p> Machine<'p> {
                 mem_size: config.mem_size,
             });
         }
+        // Based on the zero groups; the loaded pages are dirty.
         let mut mem = PagedMem::new_zeroed(config.mem_size as usize);
         mem.copy_in(lo, &program.data);
-        // The freshly loaded image has no base snapshot, so the dirty bits
-        // the loader just set carry no meaning; clear them so diagnostics
-        // see a clean machine.
-        mem.clear_dirty();
         let mut regs = [0u32; 32];
         regs[reg::SP.index()] = config.mem_size - 16;
         regs[reg::GP.index()] = DATA_BASE;
@@ -508,7 +505,7 @@ impl<'p> Machine<'p> {
             fregs: snapshot.fregs,
             // O(pages) reference bumps: the machine shares every page with
             // the snapshot and copies one out only when it first writes it.
-            mem: PagedMem::from_shared(&snapshot.pages, snapshot.mem_len),
+            mem: PagedMem::from_shared(&snapshot.groups, snapshot.mem_len),
             pc: snapshot.pc,
             icount: snapshot.icount,
             value_producing: snapshot.value_producing,
@@ -537,16 +534,17 @@ impl<'p> Machine<'p> {
     ///
     /// Capture is incremental under copy-on-write sharing: only the pages
     /// written since the previous capture/restore point are materialized
-    /// (copied into fresh shared pages); everything else is a reference
-    /// bump. The machine's memory is left sharing every page with the new
-    /// snapshot, which becomes its base — so an immediately following
+    /// (copied into fresh shared pages) and only their groups rebuilt;
+    /// every unwritten group of 64 pages is one reference bump. The
+    /// machine's memory is left sharing every page with the new snapshot,
+    /// which becomes its base — so an immediately following
     /// [`Machine::restore`] of it is free, and [`Machine::state_eq`]
-    /// against it is O(pages) pointer compares. This is why capture takes
+    /// against it is one pointer compare per group. This is why capture takes
     /// `&mut self`: it flips written pages from owned to shared (the
     /// architectural state is unchanged).
     #[must_use]
     pub fn snapshot(&mut self) -> Snapshot {
-        let (pages, fresh) = self.mem.capture();
+        let (groups, fresh) = self.mem.capture();
         self.capture_bytes += fresh;
         let id = SNAPSHOT_IDS.fetch_add(1, Ordering::Relaxed);
         self.base_snapshot = id;
@@ -557,7 +555,7 @@ impl<'p> Machine<'p> {
             pc: self.pc,
             icount: self.icount,
             value_producing: self.value_producing,
-            pages,
+            groups,
             mem_len: self.mem.len(),
         }
     }
@@ -574,19 +572,17 @@ impl<'p> Machine<'p> {
 
     /// Overwrites this machine's architectural state with `snapshot`.
     ///
-    /// This is the hot path of checkpointed fault campaigns. When the
-    /// machine's memory was last synchronized with this same snapshot (a
-    /// previous [`Machine::restore`], [`Machine::snapshot`] capture, or
-    /// [`Machine::from_snapshot`] of it), the rollback is O(dirty pages)
-    /// of pointer swaps: every page written since is swapped back to
-    /// sharing the snapshot's page, and every clean page is untouched —
-    /// no page bytes are copied at all (displaced owned pages are
-    /// recycled, so the steady-state trial loop never allocates).
-    /// Restoring a *different* snapshot is [`Machine::restore_full`]: one
-    /// pass over the page table that swaps every slot not already sharing
-    /// the snapshot's page, so a hop between golden checkpoints, which
-    /// share most pages, swaps only the dirty pages and the pages the two
-    /// checkpoints do not share. Both paths produce bit-identical state.
+    /// This is the hot path of checkpointed fault campaigns: one pass over
+    /// the memory's groups of 64 pages, pointer swaps only. A group the
+    /// machine's memory is based on — the snapshot's, after a previous
+    /// [`Machine::restore`], [`Machine::snapshot`] capture, or
+    /// [`Machine::from_snapshot`] of it, or any snapshot that shares it —
+    /// swaps back only the pages written since; any other group swaps the
+    /// pages not already shared with the snapshot. So restoring the base
+    /// costs O(dirty pages), and a hop between golden checkpoints, which
+    /// share most groups, costs that plus the groups they do not share.
+    /// No page bytes are copied (displaced owned pages are recycled, so the
+    /// steady-state trial loop never allocates).
     ///
     /// Watchdog budget and profiling configuration are unchanged.
     ///
@@ -595,53 +591,44 @@ impl<'p> Machine<'p> {
     /// Returns [`MachineError::MemSizeMismatch`] if the snapshot's memory
     /// image differs in size from this machine's memory.
     pub fn restore(&mut self, snapshot: &Snapshot) -> Result<(), MachineError> {
-        if snapshot.mem_len != self.mem.len() {
-            return Err(MachineError::MemSizeMismatch {
-                snapshot: snapshot.mem_len,
-                machine: self.mem.len(),
-            });
-        }
-        if self.base_snapshot == snapshot.id {
-            self.restore_registers(snapshot);
-            self.mem.restore_dirty_from(&snapshot.pages);
-        } else {
-            self.restore_full_unchecked(snapshot);
-        }
+        self.check_mem_len(snapshot)?;
+        self.restore_registers(snapshot);
+        self.mem.restore_from(&snapshot.groups);
         Ok(())
     }
 
-    /// Overwrites this machine's architectural state with `snapshot` in
-    /// one pass over the page table, bypassing dirty-page tracking: every
-    /// slot not already sharing the snapshot's page `Arc` is swapped to
-    /// share it, and a slot that does share it is identical by
-    /// construction and left alone. [`Machine::restore`] takes this path
-    /// for any snapshot other than the machine's base; it is exposed so
-    /// the differential suite can prove both restore paths bit-identical,
-    /// and so a harness can re-base a machine whose dirty tracking it no
-    /// longer trusts.
+    /// Overwrites this machine's architectural state with `snapshot`
+    /// trusting neither its dirty tracking nor its base: one pass over
+    /// every page that swaps each slot not already sharing the snapshot's
+    /// page `Arc`. It is exposed so the differential suite can prove it
+    /// bit-identical to [`Machine::restore`], and so a harness can re-base
+    /// a machine whose dirty tracking it no longer trusts.
     ///
     /// # Errors
     ///
     /// Returns [`MachineError::MemSizeMismatch`] if the snapshot's memory
     /// image differs in size from this machine's memory.
     pub fn restore_full(&mut self, snapshot: &Snapshot) -> Result<(), MachineError> {
-        if snapshot.mem_len != self.mem.len() {
-            return Err(MachineError::MemSizeMismatch {
-                snapshot: snapshot.mem_len,
-                machine: self.mem.len(),
-            });
-        }
-        self.restore_full_unchecked(snapshot);
+        self.check_mem_len(snapshot)?;
+        self.restore_registers(snapshot);
+        self.mem.restore_all_from(&snapshot.groups);
         Ok(())
     }
 
-    fn restore_full_unchecked(&mut self, snapshot: &Snapshot) {
-        self.restore_registers(snapshot);
-        self.mem.restore_all_from(&snapshot.pages);
-        self.base_snapshot = snapshot.id;
+    fn check_mem_len(&self, snapshot: &Snapshot) -> Result<(), MachineError> {
+        if snapshot.mem_len == self.mem.len() {
+            Ok(())
+        } else {
+            Err(MachineError::MemSizeMismatch {
+                snapshot: snapshot.mem_len,
+                machine: self.mem.len(),
+            })
+        }
     }
 
+    /// Restores everything but memory, and records `snapshot` as the base.
     fn restore_registers(&mut self, snapshot: &Snapshot) {
+        self.base_snapshot = snapshot.id;
         self.regs = snapshot.regs;
         self.fregs = snapshot.fregs;
         self.pc = snapshot.pc;
@@ -649,17 +636,15 @@ impl<'p> Machine<'p> {
         self.value_producing = snapshot.value_producing;
     }
 
-    /// Number of pages dirtied since the last restore point (diagnostics
-    /// and benches).
+    /// Number of pages dirtied since the last restore or capture point, or
+    /// since construction (the loaded data pages; diagnostics and benches).
     #[must_use]
     pub fn dirty_pages(&self) -> usize {
         self.mem.dirty_page_count()
     }
 
     /// Id of the snapshot this machine's memory was last synchronized
-    /// with, or 0 when it has none (a freshly loaded machine): a
-    /// [`Machine::restore`] of the snapshot with this [`Snapshot::id`]
-    /// takes the dirty-page path, any other the one-pass path. Campaigns
+    /// with, or 0 when it has none (a freshly loaded machine). Campaigns
     /// use it to count restores by path.
     #[must_use]
     pub fn base_snapshot_id(&self) -> u64 {
@@ -670,16 +655,18 @@ impl<'p> Machine<'p> {
     /// `snapshot` (floats compared by bit pattern, so NaNs compare
     /// faithfully). Cheap fields are compared first so divergent states
     /// usually return `false` without touching the memory image. Memory
-    /// is then compared page by page: a page sharing the snapshot's `Arc`
-    /// is identical by construction and accepted without reading it, and
-    /// every other page is compared bytewise. Clean pages hold the base
-    /// snapshot's `Arc`s, so against the base the bytes compared are the
-    /// dirty pages, and against another golden checkpoint they are the
-    /// dirty pages plus the pages the two checkpoints do not share.
+    /// is then compared group by group: a clean group that is the
+    /// snapshot's is accepted without reading it, and one with dirty pages
+    /// compares only those; in any other group a page sharing the
+    /// snapshot's `Arc` is accepted and every other page is compared
+    /// bytewise. So against the base the bytes compared are the dirty
+    /// pages, and against another golden checkpoint they are the dirty
+    /// pages plus the pages the two checkpoints do not share.
     ///
     /// This is what makes the campaign's reconvergence probe cheap: it
-    /// costs one pointer compare per page plus a `memcmp` of the pages
-    /// that are not shared, never a pass over all of memory's bytes.
+    /// costs one pointer compare per shared group, one per page of the
+    /// other groups, and a `memcmp` of the pages that are not shared,
+    /// never a pass over all of memory's bytes.
     #[must_use]
     pub fn state_eq(&self, snapshot: &Snapshot) -> bool {
         self.icount == snapshot.icount
@@ -692,7 +679,7 @@ impl<'p> Machine<'p> {
                 .zip(&snapshot.fregs)
                 .all(|(a, b)| a.to_bits() == b.to_bits())
             && snapshot.mem_len == self.mem.len()
-            && self.mem.eq_pages(&snapshot.pages)
+            && self.mem.eq_pages(&snapshot.groups)
     }
 
     /// Current value of an integer register.
@@ -3031,10 +3018,10 @@ mod pipeline_tests {
         let mut m = Machine::new(&p, &config);
         m.run_until_simple(20);
         let snap = m.snapshot();
-        m.restore(&snap).unwrap(); // different id: full path, sets the base
+        m.restore(&snap).unwrap(); // already the base: nothing to swap
         assert!(m.state_eq(&snap));
 
-        // Run ahead, then restore the same snapshot: dirty-page path.
+        // Run ahead, then restore the same snapshot: dirty pages only.
         m.run_until_simple(120);
         assert!(m.dirty_pages() > 0, "stores must dirty pages");
         m.restore(&snap).unwrap();
@@ -3114,6 +3101,106 @@ mod pipeline_tests {
         assert_eq!(m.capture_bytes(), after_first + 4096);
     }
 
+    /// A capture rebuilds only the groups written since the previous one:
+    /// every other group is the previous capture's very `Arc`, and only the
+    /// written pages are materialized.
+    #[test]
+    fn capture_shares_every_unwritten_group() {
+        use crate::mem::{GROUP_PAGES, PAGE_SIZE};
+        let p = mixed_program();
+        let mut m = Machine::new(&p, &MachineConfig::default());
+        let first = m.snapshot();
+        let before = m.capture_bytes();
+        let group_5 = (5 * GROUP_PAGES * PAGE_SIZE) as u32;
+        m.write_bytes(group_5 + 8, &[1]).unwrap();
+        m.write_bytes(group_5 + 3 * PAGE_SIZE as u32, &[2]).unwrap();
+        let second = m.snapshot();
+        assert_eq!(m.capture_bytes(), before + 2 * PAGE_SIZE as u64);
+        assert_eq!(first.groups.len(), 16);
+        for (g, (a, b)) in first.groups.iter().zip(&second.groups).enumerate() {
+            assert_eq!(Arc::ptr_eq(a, b), g != 5, "group {g}");
+        }
+        assert_eq!((second.groups[5][0][8], second.groups[5][3][0]), (1, 2));
+        assert_eq!((first.groups[5][0][8], first.groups[5][3][0]), (0, 0));
+    }
+
+    /// Writes in two groups and a target that differs from the machine's
+    /// base in a third: the one-pass restore, the untrusting one and a
+    /// fresh machine on the target read the same image, and `state_eq`
+    /// agrees with comparing images.
+    #[test]
+    fn restore_paths_agree_across_groups() {
+        use crate::mem::{GROUP_PAGES, PAGE_SIZE};
+        let p = mixed_program();
+        let config = MachineConfig::default();
+        let group = |g: u32| g * (GROUP_PAGES * PAGE_SIZE) as u32;
+        let image = |m: &Machine<'_>| {
+            m.read_bytes(DATA_BASE, config.mem_size - DATA_BASE)
+                .unwrap()
+        };
+        let mut m = Machine::new(&p, &config);
+        m.run_until_simple(40);
+        let base = m.snapshot();
+        m.write_bytes(group(3) + 100, &[0x5A; 16]).unwrap();
+        let target = m.snapshot();
+        // Back on `base`: dirty in groups 1 and 2, and group 3 differs
+        // from the target's.
+        m.restore(&base).unwrap();
+        m.write_bytes(group(1) + 8, &[0xA5; 8]).unwrap();
+        m.write_bytes(group(2) + 7 * PAGE_SIZE as u32, &[0x33; 4])
+            .unwrap();
+        assert_eq!(m.dirty_pages(), 2);
+
+        let fresh = Machine::from_snapshot(&p, &target, &config).unwrap();
+        let expected = image(&fresh);
+        assert_eq!(expected[(group(3) + 100 - DATA_BASE) as usize], 0x5A);
+        assert!(fresh.state_eq(&target) && !fresh.state_eq(&base));
+        assert_eq!(m.state_eq(&target), image(&m) == expected);
+        assert!(!m.state_eq(&base), "dirty pages of shared groups differ");
+        let mut one_pass = m.clone();
+        one_pass.restore(&target).unwrap();
+        let mut untrusting = m.clone();
+        untrusting.restore_full(&target).unwrap();
+        for restored in [&one_pass, &untrusting] {
+            assert_eq!(image(restored), expected);
+            assert_eq!(restored.dirty_pages(), 0);
+            assert!(restored.state_eq(&target) && !restored.state_eq(&base));
+        }
+
+        // Owned pages holding the target's bytes in all three groups.
+        m.write_bytes(group(1) + 8, &[0; 8]).unwrap();
+        m.write_bytes(group(2) + 7 * PAGE_SIZE as u32, &[0; 4])
+            .unwrap();
+        m.write_bytes(group(3) + 100, &[0x5A; 16]).unwrap();
+        assert_eq!(m.dirty_pages(), 3);
+        assert_eq!(image(&m), expected);
+        assert!(m.state_eq(&target) && !m.state_eq(&base));
+    }
+
+    /// A freshly loaded machine is based on the zero groups with the
+    /// loader's pages dirty, so its first capture materializes exactly
+    /// those pages.
+    #[test]
+    fn first_capture_materializes_the_loaded_data_pages() {
+        let mut a = Asm::new();
+        a.data_bytes(&[0xC3; 10_000]);
+        a.func("main", false);
+        a.halt();
+        a.endfunc();
+        let p = a.assemble().unwrap();
+        let mut m = Machine::new(&p, &MachineConfig::default());
+        assert_eq!(m.dirty_pages(), 3, "10,000 loaded bytes span 3 pages");
+        let snap = m.snapshot();
+        assert_eq!(m.capture_bytes(), 3 * 4096);
+        assert_eq!(m.dirty_pages(), 0);
+        let resumed = Machine::from_snapshot(&p, &snap, &MachineConfig::default()).unwrap();
+        assert_eq!(
+            resumed.read_bytes(DATA_BASE, 10_000).unwrap(),
+            vec![0xC3; 10_000]
+        );
+        assert!(resumed.state_eq(&snap) && m.state_eq(&snap));
+    }
+
     /// Restores are pointer swaps under the hood, but each path must stay
     /// bit-identical when interleaved with writes that force page copies.
     #[test]
@@ -3134,7 +3221,7 @@ mod pipeline_tests {
         m.write_bytes(DATA_BASE + 300, &[9; 64]).unwrap();
         m.restore(&early).unwrap();
         assert!(m.state_eq(&early));
-        // full path onto a machine that never saw these snapshots
+        // untrusting pass onto a machine that never saw these snapshots
         let mut other = Machine::new(&p, &config);
         other.restore_full(&late).unwrap();
         assert!(other.state_eq(&late));
@@ -3156,8 +3243,8 @@ mod pipeline_tests {
 
         m.restore(&early).unwrap();
         assert!(m.state_eq(&early));
-        // Different snapshot while based on `early`: must take the one-pass
-        // path (pages differing between the two are not dirty).
+        // Different snapshot while based on `early`: the groups `late` does
+        // not share with `early` must be swapped although they are clean.
         m.run_until_simple(40);
         m.restore(&late).unwrap();
         assert!(m.state_eq(&late));
@@ -3185,7 +3272,7 @@ mod pipeline_tests {
         let snap = m.snapshot();
         let mut resumed = Machine::from_snapshot(&p, &snap, &config).unwrap();
         resumed.run_until_simple(300);
-        resumed.restore(&snap).unwrap(); // dirty-page path straight away
+        resumed.restore(&snap).unwrap(); // dirty pages only, straight away
         assert!(resumed.state_eq(&snap));
         let mut straight = Machine::from_snapshot(&p, &snap, &config).unwrap();
         assert_eq!(resumed.run_simple(), straight.run_simple());
@@ -3222,7 +3309,7 @@ mod pipeline_tests {
         m.run_until_simple(40);
         let b = m.snapshot();
 
-        // Same-base dirty-page path: true right after restoring, false
+        // Against the base: true right after restoring, false
         // after guest stores diverge the state.
         m.restore(&a).unwrap();
         assert!(m.state_eq(&a));

@@ -11,22 +11,27 @@
 //! reference count: it is one slot load, one (highly predictable) tag
 //! branch, and the byte write.
 //!
+//! Snapshots share memory one level up as well: a snapshot's image is one
+//! [`PageGroup`] `Arc` per [`GROUP_PAGES`] pages — exactly one word of the
+//! dirty bitset — and the image keeps, as its *base*, the groups its clean
+//! slots share. A group whose dirty word is 0 *is* its base group.
+//!
 //! What the representation buys:
 //!
-//! * **Capture is O(written pages)**: taking a snapshot materializes each
-//!   owned page into a fresh `Arc` (one 4 KiB copy) and merely bumps the
-//!   reference count of every already-shared page — untouched memory is
-//!   never duplicated, no matter how many checkpoints co-exist.
-//! * **Restore is pointer swaps**: rolling back to the snapshot the image
-//!   is based on replaces each written slot with a clone of the
-//!   snapshot's `Arc` (O(dirty pages)); restoring any other snapshot is
-//!   one pass over the table that swaps only the slots not already
-//!   holding the snapshot's page. No page bytes move at all; the trial
-//!   pays for a page copy only when (and if) it writes to it again.
+//! * **Capture is O(written groups)**: taking a snapshot keeps every clean
+//!   group by bumping one reference count, and rebuilds only the groups
+//!   that were written, materializing each written page into a fresh
+//!   `Arc` (one 4 KiB copy). Untouched memory is never duplicated, no
+//!   matter how many checkpoints co-exist.
+//! * **Restore is pointer swaps**: one pass over the groups swaps back only
+//!   the dirty slots of a group the image is based on, and only the slots
+//!   not already holding the target's page in any other group. No page
+//!   bytes move at all; the trial pays for a page copy only when (and if)
+//!   it writes to it again.
 //! * **Comparison gets a pointer fast path**: two images holding the same
-//!   `Arc` for a page are bit-identical there by construction, so the
-//!   campaign's reconvergence probe compares bytes only for pages the two
-//!   images do not share.
+//!   `Arc` for a group or a page are bit-identical there by construction,
+//!   so the campaign's reconvergence probe compares bytes only for the
+//!   pages the two images do not share.
 //!
 //! Displaced owned boxes are recycled through a spare pool, so the
 //! steady-state trial loop (write a working set, roll back, repeat) does
@@ -47,8 +52,15 @@ use crate::machine::CrashKind;
 /// Granularity of page sharing and dirty tracking.
 pub(crate) const PAGE_SIZE: usize = 4096;
 
+/// Pages per [`PageGroup`]: one word of the dirty bitset.
+pub(crate) const GROUP_PAGES: usize = 64;
+
 /// One guest page.
 pub(crate) type PageBuf = [u8; PAGE_SIZE];
+
+/// [`GROUP_PAGES`] consecutive pages (fewer in an image's last group):
+/// the unit snapshots share.
+pub(crate) type PageGroup = Arc<[Arc<PageBuf>]>;
 
 /// One slot of the page table: writable in place, or shared with
 /// snapshots and copied on first write.
@@ -68,25 +80,37 @@ impl PageSlot {
             PageSlot::Shared(a) => a,
         }
     }
+
+    /// Points the slot at `arc`, recycling a displaced owned box.
+    #[inline]
+    fn share(&mut self, arc: &Arc<PageBuf>, spare: &mut Vec<Box<PageBuf>>) {
+        if let PageSlot::Owned(b) = std::mem::replace(self, PageSlot::Shared(Arc::clone(arc))) {
+            spare.push(b);
+        }
+    }
 }
 
 /// The paged copy-on-write memory image of a machine, including the dirty
 /// bitset (one bit per page, set by every guest store and host write since
-/// the last restore/capture point).
+/// the last restore/capture point) and the base groups.
 ///
-/// Invariant: outside the construction window (before the first
-/// capture/restore), a page is `Owned` **iff** its dirty bit is set — a
-/// restore swaps every dirty slot back to `Shared`, and a write both
-/// marks the page dirty and makes it owned. Every clean slot therefore
-/// holds the very `Arc` of the snapshot the image was last captured to
-/// or restored from.
+/// Invariant: a page is `Owned` **iff** its dirty bit is set — a write
+/// both marks the page dirty and makes it owned, and a capture or restore
+/// shares every slot it clears. Every clean slot holds the very `Arc` of
+/// its group in `base`, so a group whose dirty word is 0 *is* `base[g]`.
+/// This holds from construction on: a fresh image's base is its zero
+/// groups, and the pages the loader writes are dirty.
 pub(crate) struct PagedMem {
     slots: Vec<PageSlot>,
     /// Addressable bytes. May end mid-page; the tail of the last page is
     /// zero padding no guest or host access can reach.
     len: usize,
-    /// One bit per page, set by every write since the last restore point.
+    /// One bit per page, set by every write since the last restore point;
+    /// word `g` covers group `g`.
     dirty: Vec<u64>,
+    /// The groups the clean slots share: the snapshot the image was last
+    /// captured to or restored from, group by group.
+    base: Vec<PageGroup>,
     /// Recycled owned boxes: restores push displaced pages here, writes
     /// pop instead of allocating. Never cloned (a clone starts empty).
     spare: Vec<Box<PageBuf>>,
@@ -98,6 +122,7 @@ impl Clone for PagedMem {
             slots: self.slots.clone(),
             len: self.len,
             dirty: self.dirty.clone(),
+            base: self.base.clone(),
             spare: Vec::new(),
         }
     }
@@ -113,32 +138,31 @@ impl std::fmt::Debug for PagedMem {
     }
 }
 
-/// Number of `u64` bitset words needed for `pages` pages.
-fn dirty_words(pages: usize) -> usize {
-    pages.div_ceil(64)
-}
-
 impl PagedMem {
     /// An all-zero image: every slot shares one zero page, so construction
     /// is O(pages) reference bumps, not O(len) zeroing.
     pub(crate) fn new_zeroed(len: usize) -> Self {
         let pages = len.div_ceil(PAGE_SIZE);
         let zero: Arc<PageBuf> = Arc::new([0u8; PAGE_SIZE]);
-        PagedMem {
-            slots: vec![PageSlot::Shared(zero); pages],
-            len,
-            dirty: vec![0u64; dirty_words(pages)],
-            spare: Vec::new(),
-        }
+        let groups: Vec<PageGroup> = (0..pages)
+            .step_by(GROUP_PAGES)
+            .map(|first| vec![Arc::clone(&zero); GROUP_PAGES.min(pages - first)].into())
+            .collect();
+        Self::from_shared(&groups, len)
     }
 
     /// An image sharing every page of a snapshot (O(pages) reference
     /// bumps; the machine copies a page only when it first writes to it).
-    pub(crate) fn from_shared(pages: &[Arc<PageBuf>], len: usize) -> Self {
+    pub(crate) fn from_shared(groups: &[PageGroup], len: usize) -> Self {
         PagedMem {
-            slots: pages.iter().map(|a| PageSlot::Shared(Arc::clone(a))).collect(),
+            slots: groups
+                .iter()
+                .flat_map(|g| g.iter())
+                .map(|a| PageSlot::Shared(Arc::clone(a)))
+                .collect(),
             len,
-            dirty: vec![0u64; dirty_words(pages.len())],
+            dirty: vec![0u64; groups.len()],
+            base: groups.to_vec(),
             spare: Vec::new(),
         }
     }
@@ -181,92 +205,84 @@ impl PagedMem {
         self.dirty.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Clears the dirty bitset (construction-time use; restores clear it
-    /// as they swap).
-    pub(crate) fn clear_dirty(&mut self) {
-        self.dirty.fill(0);
+    /// Restore: one pass over the groups that makes every slot share the
+    /// snapshot's page (pointer swaps, no byte copies) and clears the dirty
+    /// set. A group the image is based on swaps back only its dirty slots
+    /// (its clean slots already hold the group's pages); any other group
+    /// swaps the slots not already sharing the snapshot's page and becomes
+    /// the group's base.
+    pub(crate) fn restore_from(&mut self, groups: &[PageGroup]) {
+        for (g, target) in groups.iter().enumerate() {
+            if Arc::ptr_eq(&self.base[g], target) {
+                for i in set_bits(self.dirty[g]) {
+                    self.slots[g * GROUP_PAGES + i].share(&target[i], &mut self.spare);
+                }
+                self.dirty[g] = 0;
+            } else {
+                self.share_group(g, target);
+            }
+        }
     }
 
-    /// Swaps one slot to share a snapshot's page, recycling a displaced
-    /// owned box. The page's dirty bit is cleared by the caller (restores
-    /// clear whole words as they scan).
-    #[inline]
-    fn share_slot(&mut self, page: usize, arc: &Arc<PageBuf>) {
-        let old = std::mem::replace(&mut self.slots[page], PageSlot::Shared(Arc::clone(arc)));
-        if let PageSlot::Owned(b) = old {
-            self.spare.push(b);
+    /// Restore that trusts neither the dirty bits nor the base: every group
+    /// takes the per-slot pass of [`Self::restore_from`]'s second case.
+    pub(crate) fn restore_all_from(&mut self, groups: &[PageGroup]) {
+        for (g, target) in groups.iter().enumerate() {
+            self.share_group(g, target);
         }
     }
 
-    /// Restore step: swaps every **dirty** slot to the matching snapshot
-    /// page (pointer swaps, no byte copies) and clears the dirty set.
-    ///
-    /// Correctness contract (the dirty-tracking invariant): every clean
-    /// slot already holds `pages`' very `Arc` — the caller only invokes
-    /// this when the machine's memory was last synchronized with this very
-    /// snapshot.
-    pub(crate) fn restore_dirty_from(&mut self, pages: &[Arc<PageBuf>]) {
-        for w in 0..self.dirty.len() {
-            let mut bits = self.dirty[w];
-            while bits != 0 {
-                let page = (w << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.share_slot(page, &pages[page]);
-            }
-            self.dirty[w] = 0;
-        }
-    }
-
-    /// Cross-snapshot restore: one pass over the page table that swaps
-    /// every slot not already sharing the snapshot's page (pointer swaps,
-    /// no byte copies) and clears the dirty set. A slot holding the
-    /// snapshot's very `Arc` is identical by construction and left
-    /// untouched, so snapshots that share most pages cost one pointer
-    /// compare per slot plus a swap per page they do not share.
-    pub(crate) fn restore_all_from(&mut self, pages: &[Arc<PageBuf>]) {
-        for (slot, arc) in self.slots.iter_mut().zip(pages) {
-            if matches!(slot, PageSlot::Shared(a) if Arc::ptr_eq(a, arc)) {
-                continue;
-            }
-            let old = std::mem::replace(slot, PageSlot::Shared(Arc::clone(arc)));
-            if let PageSlot::Owned(b) = old {
-                self.spare.push(b);
+    /// Swaps every slot of group `g` not already sharing `target`'s page
+    /// and makes `target` the group's base.
+    fn share_group(&mut self, g: usize, target: &PageGroup) {
+        let first = g * GROUP_PAGES;
+        for (slot, arc) in self.slots[first..first + target.len()]
+            .iter_mut()
+            .zip(target.iter())
+        {
+            if !matches!(slot, PageSlot::Shared(a) if Arc::ptr_eq(a, arc)) {
+                slot.share(arc, &mut self.spare);
             }
         }
-        self.dirty.fill(0);
+        self.base[g] = Arc::clone(target);
+        self.dirty[g] = 0;
     }
 
-    /// Snapshot capture: converts every owned page into a shared `Arc`
-    /// (one 4 KiB copy each — the only bytes a capture ever copies),
-    /// returns the full page table as `Arc` clones, and clears the dirty
-    /// set (the machine is now bit-identical to the capture, which
+    /// Snapshot capture: keeps every clean group by bumping its reference
+    /// count, and rebuilds each written group with its owned pages
+    /// converted into fresh shared `Arc`s (one 4 KiB copy each — the only
+    /// bytes a capture ever copies). Returns the groups and clears the
+    /// dirty set (the machine is now bit-identical to the capture, which
     /// becomes its new base).
     ///
     /// The second return value is the number of bytes materialized (owned
     /// pages copied into fresh `Arc`s) — the true incremental cost of the
     /// capture, reported by campaigns as checkpoint capture bytes.
-    pub(crate) fn capture(&mut self) -> (Vec<Arc<PageBuf>>, u64) {
+    pub(crate) fn capture(&mut self) -> (Vec<PageGroup>, u64) {
         let mut fresh = 0u64;
-        for slot in &mut self.slots {
-            if let PageSlot::Owned(b) = slot {
-                fresh += PAGE_SIZE as u64;
-                let arc: Arc<PageBuf> = Arc::new(**b);
-                let old = std::mem::replace(slot, PageSlot::Shared(arc));
-                if let PageSlot::Owned(b) = old {
-                    self.spare.push(b);
+        for g in 0..self.base.len() {
+            if self.dirty[g] == 0 {
+                continue;
+            }
+            let first = g * GROUP_PAGES;
+            for i in set_bits(self.dirty[g]) {
+                let page = first + i;
+                if let PageSlot::Owned(b) = &self.slots[page] {
+                    fresh += PAGE_SIZE as u64;
+                    let arc: Arc<PageBuf> = Arc::new(**b);
+                    self.slots[page].share(&arc, &mut self.spare);
                 }
             }
+            self.base[g] = self.slots[first..first + self.base[g].len()]
+                .iter()
+                .map(|s| match s {
+                    PageSlot::Shared(a) => Arc::clone(a),
+                    PageSlot::Owned(_) => unreachable!("owned pages are dirty"),
+                })
+                .collect();
+            self.dirty[g] = 0;
         }
-        let pages: Vec<Arc<PageBuf>> = self
-            .slots
-            .iter()
-            .map(|s| match s {
-                PageSlot::Shared(a) => Arc::clone(a),
-                PageSlot::Owned(_) => unreachable!("owned pages were just materialized"),
-            })
-            .collect();
-        self.dirty.fill(0);
-        (pages, fresh)
+        (self.base.clone(), fresh)
     }
 
     /// Host-side read: copies `out.len()` bytes starting at `start`,
@@ -311,22 +327,43 @@ impl PagedMem {
         self.page_for_write(page)[off] ^= 1 << (bit % 8);
     }
 
-    /// Whether the image equals a snapshot's page table byte-for-byte. A
-    /// slot sharing the snapshot's `Arc` is identical by construction and
-    /// accepted without reading it; every other slot is compared bytewise.
-    /// The one memory comparison [`Machine::state_eq`] makes, whatever
-    /// snapshot the image is based on.
+    /// Whether the image equals a snapshot's groups byte-for-byte. A group
+    /// that is the image's clean base group is accepted without reading
+    /// it, and one that is its base with dirty pages compares only those
+    /// pages; in any other group a slot sharing the snapshot's `Arc` is
+    /// accepted and every other slot is compared bytewise. The one memory
+    /// comparison [`Machine::state_eq`] makes, whatever snapshot the image
+    /// is based on.
     ///
     /// [`Machine::state_eq`]: crate::Machine::state_eq
-    pub(crate) fn eq_pages(&self, pages: &[Arc<PageBuf>]) -> bool {
-        if pages.len() != self.slots.len() {
-            return false;
-        }
-        self.slots.iter().zip(pages).all(|(slot, arc)| match slot {
-            PageSlot::Shared(a) => Arc::ptr_eq(a, arc) || **a == **arc,
-            PageSlot::Owned(b) => **b == **arc,
-        })
+    pub(crate) fn eq_pages(&self, groups: &[PageGroup]) -> bool {
+        groups.len() == self.base.len()
+            && groups.iter().enumerate().all(|(g, target)| {
+                let first = g * GROUP_PAGES;
+                if Arc::ptr_eq(&self.base[g], target) {
+                    return set_bits(self.dirty[g]).all(|i| *self.page(first + i) == *target[i]);
+                }
+                target.len() == self.base[g].len()
+                    && self.slots[first..first + target.len()]
+                        .iter()
+                        .zip(target.iter())
+                        .all(|(slot, arc)| match slot {
+                            PageSlot::Shared(a) => Arc::ptr_eq(a, arc) || **a == **arc,
+                            PageSlot::Owned(b) => **b == **arc,
+                        })
+            })
     }
+}
+
+/// Indices of the set bits of a dirty word, lowest first.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let i = word.trailing_zeros() as usize;
+            word &= word - 1;
+            i
+        })
+    })
 }
 
 /// Pre-access check shared by loads and stores: alignment first (so a
@@ -442,35 +479,55 @@ pub(crate) fn store_f64_mem(mem: &mut PagedMem, addr: u32, value: f64) -> Result
 mod tests {
     use super::*;
 
-    /// A cross-snapshot restore leaves a slot that already shares the
-    /// target's page alone and swaps every other slot, owned or shared
-    /// with another snapshot, recycling the displaced owned boxes.
+    /// One restore pass over the groups: a group the image is based on
+    /// swaps back only its dirty slots; any other group swaps the slots
+    /// not already sharing the target's page and takes the target's group
+    /// as its base. The untrusting pass treats every group the second way.
     #[test]
     fn restore_all_from_swaps_only_slots_not_sharing_the_target() {
-        let mut mem = PagedMem::new_zeroed(3 * PAGE_SIZE);
-        for page in 0..3 {
-            mem.copy_in(page * PAGE_SIZE, &[page as u8 + 1; 8]);
+        // Two full groups and a partial third.
+        let mut mem = PagedMem::new_zeroed((2 * GROUP_PAGES + 3) * PAGE_SIZE);
+        assert_eq!(mem.base.len(), 3);
+        for g in 0..3 {
+            mem.copy_in((g * GROUP_PAGES + 1) * PAGE_SIZE, &[g as u8 + 1; 8]);
         }
-        let (target, _) = mem.capture();
-        // Slot 1 goes to another snapshot's `Arc`, slot 2 is owned; slot 0
-        // keeps sharing the target's page.
-        mem.copy_in(PAGE_SIZE, &[7; 8]);
+        let (target, fresh) = mem.capture();
+        assert_eq!(fresh, 3 * PAGE_SIZE as u64);
+        // Group 1 moves on to another snapshot; groups 0 and 2 stay shared.
+        mem.copy_in((GROUP_PAGES + 2) * PAGE_SIZE, &[7; 8]);
         let (other, _) = mem.capture();
-        mem.copy_in(2 * PAGE_SIZE, &[9; 8]);
-        assert!(matches!(mem.slots[0], PageSlot::Shared(ref a) if Arc::ptr_eq(a, &target[0])));
-        assert!(matches!(mem.slots[1], PageSlot::Shared(ref a) if Arc::ptr_eq(a, &other[1])));
-        assert!(matches!(mem.slots[2], PageSlot::Owned(_)));
-        let shared_count = Arc::strong_count(&target[0]);
+        for (g, shared) in [(0, true), (1, false), (2, true)] {
+            assert_eq!(Arc::ptr_eq(&other[g], &target[g]), shared, "group {g}");
+        }
+        // Dirty pages in group 0 (based on the target's group) and group 1
+        // (based on the other snapshot's).
+        mem.copy_in(5 * PAGE_SIZE, &[9; 8]);
+        mem.copy_in((GROUP_PAGES + 3) * PAGE_SIZE, &[9; 8]);
+        assert!(!mem.eq_pages(&target) && !mem.eq_pages(&other));
         let spare = mem.spare.len();
+        let other_group_refs = Arc::strong_count(&other[1]);
 
-        mem.restore_all_from(&target);
-        for (slot, arc) in mem.slots.iter().zip(&target) {
+        mem.restore_from(&target);
+        let target_pages = target.iter().flat_map(|g| g.iter());
+        for (slot, arc) in mem.slots.iter().zip(target_pages) {
             assert!(matches!(slot, PageSlot::Shared(a) if Arc::ptr_eq(a, arc)));
         }
-        assert_eq!(Arc::strong_count(&target[0]), shared_count);
-        assert_eq!(mem.spare.len(), spare + 1, "the owned box is recycled");
+        assert!(mem.base.iter().zip(&target).all(|(b, t)| Arc::ptr_eq(b, t)));
+        assert_eq!(Arc::strong_count(&other[1]), other_group_refs - 1);
+        assert_eq!(mem.spare.len(), spare + 2, "both owned boxes are recycled");
         assert_eq!(mem.dirty_page_count(), 0);
         assert!(mem.eq_pages(&target));
         assert!(!mem.eq_pages(&other));
+
+        // The untrusting pass reaches the same state from any base.
+        mem.copy_in(7 * PAGE_SIZE, &[3; 8]);
+        mem.restore_all_from(&other);
+        let other_pages = other.iter().flat_map(|g| g.iter());
+        for (slot, arc) in mem.slots.iter().zip(other_pages) {
+            assert!(matches!(slot, PageSlot::Shared(a) if Arc::ptr_eq(a, arc)));
+        }
+        assert!(mem.base.iter().zip(&other).all(|(b, t)| Arc::ptr_eq(b, t)));
+        assert_eq!(mem.dirty_page_count(), 0);
+        assert!(mem.eq_pages(&other));
     }
 }

@@ -534,13 +534,14 @@ fn dirty_page_and_full_image_restore_agree() {
 
         // Dirty path: finish the run (dirtying pages), then restore the
         // snapshot the machine is already based on.
-        m.restore(&snap).unwrap(); // establishes the base (full copy)
+        m.restore(&snap).unwrap(); // already the base: nothing to swap
         m.run_simple();
-        m.restore(&snap).unwrap(); // dirty-page path
+        m.restore(&snap).unwrap(); // swaps back the dirty pages
         let a = m.run_simple();
         let out_a = w.extract(&m);
 
-        // Full path: an explicit whole-image restore on a fresh machine.
+        // Untrusting path: a per-page pass over every group on a fresh
+        // machine.
         let mut full = Machine::from_snapshot(
             w.program(),
             &snap,

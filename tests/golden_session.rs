@@ -105,6 +105,16 @@ fn shared_golden_session_matches_independent_sessions(name: &str) {
     let scratch = shared.last().expect("from-scratch campaign");
     assert_eq!(scratch.checkpoint_capture_bytes(), 0, "{name}");
     assert_eq!(scratch.restore_stats().total(), 0, "{name}");
+    // The default checkpoint layout against the from-scratch reference.
+    let checkpointed = configs
+        .iter()
+        .position(|c| (c.protection, c.target) == (base.protection, base.target))
+        .expect("the checkpointed twin of the from-scratch campaign");
+    assert_eq!(
+        shared[checkpointed].run_all(),
+        scratch.run_all(),
+        "{name}: checkpointed and from-scratch records"
+    );
 }
 
 /// One test per workload, so the harness runs them in parallel.
