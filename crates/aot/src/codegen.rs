@@ -34,7 +34,7 @@ use std::fmt::Write as _;
 use certa_core::Cfg;
 use certa_isa::{AluOp, CmpOp, FCmpOp, FpuOp, Instr, MemWidth, Program};
 
-/// Generates a Rust module containing one [`certa-sim`](certa_sim)
+/// Generates a Rust module containing one `certa-sim`
 /// `AotProgram` per `(name, program)` entry, each stamped with its
 /// program's length and [`Program::code_fingerprint`], plus an `ALL` table
 /// over every entry.

@@ -43,10 +43,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use certa_isa::fnv1a;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-use crate::protocol::fnv1a;
 
 /// One injectable wire fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -6,14 +6,28 @@
 //! fallback, and the drain condition; one scoped acceptor thread takes
 //! connections off the listener; and each connection gets a scoped
 //! handler thread running a trivial request/response loop. All state the
-//! handlers touch lives in one `Shared` struct behind short-lived mutexes
-//! — no lock is ever held across trial execution or socket I/O.
+//! handlers touch lives in one `Shared` struct: atomics plus three
+//! mutexes, each held briefly and never while another is taken, nor
+//! across trial execution or socket I/O.
+//!
+//! * The **lease table**, with the `table_changed` condvar that held
+//!   `Lease` requests and the drive loop wait on.
+//! * The write-ahead **journal**.
+//! * The **books**: the record table, stat and verdict sums, per-worker
+//!   ledgers, and the remote/drained worker sets.
+//!
+//! A chunk's results take one path. A fresh delivery, whether from a
+//! remote worker or the inline fallback, is journaled and synced under
+//! the journal lock, then merged under the books lock; a resumed
+//! coordinator replays journaled chunks through the same merge. The sync
+//! happens outside the books, so a `Grant` never waits on another chunk's
+//! `fdatasync`.
 
 use std::collections::HashSet;
 use std::net::{TcpListener, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use certa_fault::{
@@ -23,11 +37,12 @@ use certa_fault::{
 use certa_fidelity::verdict::{TrialVerdict, VerdictCounts};
 
 use crate::chaos::{Chaos, ChaosConfig, ChaosCounts, NetStream};
-use crate::journal::{ChunkRecord, Journal, JournalIdentity};
+use crate::journal::{check_trial_ids, ChunkRecord, Journal, JournalIdentity};
 use crate::lease::{Completion, LeaseTable};
 use crate::protocol::{
     auth_proof, auth_token, FrameCodec, FrameError, JobSpec, Request, Response, PROTOCOL_VERSION,
 };
+use crate::worker::run_chunk;
 use crate::DistError;
 
 /// Classifies one trial record into the paper's verdict taxonomy.
@@ -139,7 +154,7 @@ pub struct CoordinatorSabotage {
 
 /// Per-worker attribution: what each attached worker (or the inline
 /// fallback, ledgered under the name `coordinator-inline`) contributed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkerLedger {
     /// Name from the worker's `Hello`.
     pub name: String,
@@ -157,21 +172,6 @@ pub struct WorkerLedger {
     pub harness: HarnessStats,
     /// Restore-counter deltas merged from accepted chunks.
     pub restores: RestoreStats,
-}
-
-impl WorkerLedger {
-    fn new(name: String) -> Self {
-        WorkerLedger {
-            name,
-            leases: 0,
-            chunks_completed: 0,
-            trials_completed: 0,
-            stale_completions: 0,
-            heartbeats: 0,
-            harness: HarnessStats::default(),
-            restores: RestoreStats::default(),
-        }
-    }
 }
 
 /// Live progress counters a driver (e.g. the `campaign_dist` bench) can
@@ -277,6 +277,35 @@ pub struct ResumeStats {
     pub stale_epoch_completions: u64,
 }
 
+/// Everything a merged chunk or an attach updates, behind one lock.
+#[derive(Default)]
+struct Books {
+    /// One slot per trial, filled by the fresh merge of its chunk.
+    records: Vec<Option<TrialRecord>>,
+    harness: HarnessStats,
+    restores: RestoreStats,
+    verdicts: VerdictCounts,
+    /// Per-worker attribution, indexed by worker id.
+    workers: Vec<WorkerLedger>,
+    /// Worker ids that said `Hello` over the wire (the inline fallback
+    /// and the replay ledger never appear here).
+    remote: HashSet<u32>,
+    /// Remote workers that have been answered with `Drained`, or whose
+    /// connection closed.
+    drained: HashSet<u32>,
+}
+
+impl Books {
+    /// Opens a ledger named `name` and returns its worker id.
+    fn attach(&mut self, name: &str) -> u32 {
+        self.workers.push(WorkerLedger {
+            name: name.to_string(),
+            ..WorkerLedger::default()
+        });
+        (self.workers.len() - 1) as u32
+    }
+}
+
 /// Shared coordinator state, borrowed by every handler thread.
 struct Shared<'s, 'a> {
     session: &'s CampaignSession<'a>,
@@ -289,25 +318,17 @@ struct Shared<'s, 'a> {
     /// durable — non-durable coordinators cannot restart, so no
     /// completion can ever carry a different epoch).
     epoch: u64,
-    /// The write-ahead journal; appended (and synced) under this lock
-    /// *before* a Fresh completion is merged anywhere.
-    journal: Mutex<Option<Journal>>,
     classify: Option<&'s VerdictClassifier>,
     table: Mutex<LeaseTable>,
     /// Signalled, after the change, whenever a held `Lease` request's
     /// answer may have changed: a Fresh completion (which may also drain
-    /// the table), an expiry that re-queued a chunk, and shutdown.
+    /// the table), an expiry that re-queued a chunk, and shutdown. The
+    /// drive loop waits on it too.
     table_changed: Condvar,
-    records: Mutex<Vec<Option<TrialRecord>>>,
-    harness: Mutex<HarnessStats>,
-    restores: Mutex<RestoreStats>,
-    verdicts: Mutex<VerdictCounts>,
-    workers: Mutex<Vec<WorkerLedger>>,
-    /// Worker ids that said `Hello` over the wire (the inline fallback
-    /// never appears here).
-    remote_workers: Mutex<HashSet<u32>>,
-    /// Remote workers that have been answered with `Drained`.
-    drained_workers: Mutex<HashSet<u32>>,
+    /// The write-ahead journal; a Fresh delta is appended (and synced)
+    /// under this lock *before* it is merged into the books.
+    journal: Mutex<Option<Journal>>,
+    books: Mutex<Books>,
     /// Coordinator-clock timestamp of the last incoming request.
     last_request_ms: AtomicU64,
     ever_attached: AtomicBool,
@@ -332,9 +353,14 @@ impl Shared<'_, '_> {
         u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 
+    fn books(&self) -> MutexGuard<'_, Books> {
+        self.books.lock().expect("books lock")
+    }
+
+    /// Updates `worker`'s ledger; an id this coordinator never handed out
+    /// has none and is ignored.
     fn with_ledger(&self, worker: u32, update: impl FnOnce(&mut WorkerLedger)) {
-        let mut workers = self.workers.lock().expect("ledger lock");
-        if let Some(ledger) = workers.get_mut(worker as usize) {
+        if let Some(ledger) = self.books().workers.get_mut(worker as usize) {
             update(ledger);
         }
     }
@@ -371,14 +397,11 @@ impl Shared<'_, '_> {
                     .as_deref()
                     .map_or(0, |secret| auth_proof(secret, challenge));
                 let worker = {
-                    let mut workers = self.workers.lock().expect("ledger lock");
-                    workers.push(WorkerLedger::new(name));
-                    (workers.len() - 1) as u32
+                    let mut books = self.books();
+                    let worker = books.attach(&name);
+                    books.remote.insert(worker);
+                    worker
                 };
-                self.remote_workers
-                    .lock()
-                    .expect("remote lock")
-                    .insert(worker);
                 self.ever_attached.store(true, Ordering::SeqCst);
                 self.progress.workers_attached.fetch_add(1, Ordering::Relaxed);
                 Response::Welcome {
@@ -420,10 +443,7 @@ impl Shared<'_, '_> {
                         }
                     }
                     Err(true) => {
-                        self.drained_workers
-                            .lock()
-                            .expect("drained lock")
-                            .insert(worker);
+                        self.books().drained.insert(worker);
                         Response::Drained
                     }
                     Err(false) => Response::Wait { poll_ms: 0 },
@@ -473,7 +493,7 @@ impl Shared<'_, '_> {
                         epoch: self.epoch,
                     };
                 }
-                match self.accept_completion(worker, chunk, records, &harness, &restores) {
+                match self.accept_completion(worker, chunk, records, harness, restores) {
                     Ok(accepted) => Response::Ack {
                         accepted,
                         epoch: self.epoch,
@@ -515,32 +535,25 @@ impl Shared<'_, '_> {
         }
     }
 
-    /// Validates and merges one chunk delivery. `Ok(true)` = fresh
-    /// (merged), `Ok(false)` = stale duplicate (dropped). Only fresh
-    /// completions touch the global records and stat sums — that is what
-    /// keeps the global reconciliation exact under redelivery.
+    /// Validates one live chunk delivery (a remote worker's or the inline
+    /// fallback's) and, when fresh, journals and merges it. `Ok(true)` =
+    /// fresh (merged), `Ok(false)` = stale duplicate (dropped). Only
+    /// fresh completions touch the books — that is what keeps the global
+    /// reconciliation exact under redelivery.
     fn accept_completion(
         &self,
         worker: u32,
         chunk: u32,
         records: Vec<(u32, TrialRecord)>,
-        harness: &HarnessStats,
-        restores: &RestoreStats,
+        harness: HarnessStats,
+        restores: RestoreStats,
     ) -> Result<bool, String> {
-        let Some(expected) = self.chunks.get(chunk as usize) else {
-            return Err(format!("unknown chunk {chunk}"));
-        };
-        let mut got: Vec<u32> = records.iter().map(|(t, _)| *t).collect();
-        got.sort_unstable();
-        let mut want = expected.trials.clone();
-        want.sort_unstable();
-        if got != want {
-            return Err(format!("chunk {chunk} delivery does not match its trial ids"));
-        }
-        let completion = {
-            let mut table = self.table.lock().expect("lease lock");
-            table.complete(chunk, worker)
-        };
+        check_trial_ids(&self.chunks, chunk, &records)?;
+        let completion = self
+            .table
+            .lock()
+            .expect("lease lock")
+            .complete(chunk, worker);
         match completion {
             None => Err(format!("unknown chunk {chunk}")),
             Some(Completion::Stale) => {
@@ -548,58 +561,57 @@ impl Shared<'_, '_> {
                 Ok(false)
             }
             Some(Completion::Fresh) => {
-                let verdicts = self.classify.map_or_else(VerdictCounts::default, |classify| {
-                    let mut counts = VerdictCounts::default();
+                let mut verdicts = VerdictCounts::default();
+                if let Some(classify) = self.classify {
                     for (_, record) in &records {
-                        counts.record(&classify(record));
+                        verdicts.record(&classify(record));
                     }
-                    counts
-                });
+                }
                 let delta = ChunkRecord {
                     chunk,
                     outcomes: OutcomeCounts::of(records.iter().map(|(_, r)| r)),
                     records,
-                    harness: *harness,
-                    restores: *restores,
+                    harness,
+                    restores,
                     verdicts,
                 };
                 // The write-ahead barrier: the delta must be durable
                 // before it becomes visible anywhere in memory. An
                 // append failure is fatal by design — continuing would
                 // let the campaign diverge from its own journal.
-                {
-                    let mut journal = self.journal.lock().expect("journal lock");
-                    if let Some(journal) = journal.as_mut() {
-                        journal
-                            .append_chunk(&delta)
-                            .expect("write-ahead journal append failed");
-                    }
+                if let Some(journal) = self.journal.lock().expect("journal lock").as_mut() {
+                    journal
+                        .append_chunk(&delta)
+                        .expect("write-ahead journal append failed");
                 }
-                {
-                    let mut slots = self.records.lock().expect("records lock");
-                    for (trial, record) in delta.records {
-                        slots[trial as usize] = Some(record);
-                    }
-                }
-                self.harness.lock().expect("harness lock").merge(harness);
-                self.restores.lock().expect("restores lock").merge(restores);
-                self.verdicts
-                    .lock()
-                    .expect("verdicts lock")
-                    .merge(&delta.verdicts);
-                let trials = expected.trials.len() as u64;
-                self.with_ledger(worker, |l| {
-                    l.chunks_completed += 1;
-                    l.trials_completed += trials;
-                    l.harness.merge(harness);
-                    l.restores.merge(restores);
-                });
                 self.fresh_accepted.fetch_add(1, Ordering::SeqCst);
-                self.progress.chunks_done.fetch_add(1, Ordering::Relaxed);
-                self.table_changed.notify_all();
+                self.merge(worker, delta);
                 Ok(true)
             }
         }
+    }
+
+    /// The one merge of a fresh chunk delta into the books, for live
+    /// completions, the inline fallback and journal replay alike. A live
+    /// delta reaches it already journaled; replay's came from the journal.
+    fn merge(&self, worker: u32, delta: ChunkRecord) {
+        {
+            let mut books = self.books();
+            books.harness.merge(&delta.harness);
+            books.restores.merge(&delta.restores);
+            books.verdicts.merge(&delta.verdicts);
+            if let Some(ledger) = books.workers.get_mut(worker as usize) {
+                ledger.chunks_completed += 1;
+                ledger.trials_completed += delta.records.len() as u64;
+                ledger.harness.merge(&delta.harness);
+                ledger.restores.merge(&delta.restores);
+            }
+            for (trial, record) in delta.records {
+                books.records[trial as usize] = Some(record);
+            }
+        }
+        self.progress.chunks_done.fetch_add(1, Ordering::Relaxed);
+        self.table_changed.notify_all();
     }
 
     /// The inline degradation path: the coordinator leases chunks to
@@ -607,11 +619,7 @@ impl Shared<'_, '_> {
     /// completion accounting as a remote delivery. Runs until nothing is
     /// leasable (drained, or a late worker holds the remainder).
     fn run_inline_fallback(&self) {
-        let worker = {
-            let mut workers = self.workers.lock().expect("ledger lock");
-            workers.push(WorkerLedger::new("coordinator-inline".into()));
-            (workers.len() - 1) as u32
-        };
+        let worker = self.books().attach("coordinator-inline");
         self.fallback_used.store(true, Ordering::SeqCst);
         loop {
             let now = self.now_ms();
@@ -625,15 +633,8 @@ impl Shared<'_, '_> {
             };
             self.with_ledger(worker, |l| l.leases += 1);
             self.progress.leases_granted.fetch_add(1, Ordering::Relaxed);
-            let harness_before = self.session.harness_stats();
-            let restores_before = self.session.restore_stats();
-            let records = self.session.run_subset(&trials);
-            let harness = self.session.harness_stats().saturating_sub(&harness_before);
-            let restores = self.session.restore_stats().saturating_sub(&restores_before);
-            let pairs: Vec<(u32, TrialRecord)> =
-                trials.iter().copied().zip(records).collect();
-            if let Err(reason) = self.accept_completion(worker, chunk, pairs, &harness, &restores)
-            {
+            let (records, harness, restores) = run_chunk(self.session, &trials);
+            if let Err(reason) = self.accept_completion(worker, chunk, records, harness, restores) {
                 // Can only happen on a coordinator bug; surface loudly.
                 panic!("inline fallback delivery rejected: {reason}");
             }
@@ -735,11 +736,7 @@ fn handle_connection(shared: &Shared<'_, '_>, mut stream: NetStream) {
     // A closed connection can never be told `Drained`; release the
     // post-drain linger from waiting on the workers it carried.
     if !helloed.is_empty() {
-        shared
-            .drained_workers
-            .lock()
-            .expect("drained lock")
-            .extend(helloed);
+        shared.books().drained.extend(helloed);
     }
 }
 
@@ -911,17 +908,14 @@ impl Coordinator {
             chunks,
             started: Instant::now(),
             epoch: resume.epoch,
-            journal: Mutex::new(journal),
             classify,
             table: Mutex::new(table),
             table_changed: Condvar::new(),
-            records: Mutex::new(vec![None; session.config().trials]),
-            harness: Mutex::new(HarnessStats::default()),
-            restores: Mutex::new(RestoreStats::default()),
-            verdicts: Mutex::new(VerdictCounts::default()),
-            workers: Mutex::new(Vec::new()),
-            remote_workers: Mutex::new(HashSet::new()),
-            drained_workers: Mutex::new(HashSet::new()),
+            journal: Mutex::new(journal),
+            books: Mutex::new(Books {
+                records: vec![None; session.config().trials],
+                ..Books::default()
+            }),
             last_request_ms: AtomicU64::new(0),
             ever_attached: AtomicBool::new(false),
             fallback_used: AtomicBool::new(false),
@@ -934,21 +928,16 @@ impl Coordinator {
             progress,
         };
 
-        // Replay the journal's completed chunks through the same merge a
+        // Replay the journal's completed chunks through the one merge a
         // live delivery takes, before serving a single request: the
         // lease table then re-queues exactly the chunks with no durable
         // record. Attribution goes to a synthetic ledger so "every trial
         // is attributed to exactly one worker" survives the restart.
         if let Some(recovery) = recovery.filter(|r| !r.completed.is_empty()) {
-            let replay_worker = {
-                let mut workers = shared.workers.lock().expect("ledger lock");
-                workers.push(WorkerLedger::new(REPLAY_LEDGER_NAME.into()));
-                (workers.len() - 1) as u32
-            };
+            let replay_worker = shared.books().attach(REPLAY_LEDGER_NAME);
             for delta in recovery.completed {
-                let chunk_trials = delta.records.len() as u64;
                 resume.replayed_chunks += 1;
-                resume.replayed_trials += chunk_trials;
+                resume.replayed_trials += delta.records.len() as u64;
                 let completion = shared
                     .table
                     .lock()
@@ -959,30 +948,7 @@ impl Coordinator {
                     Some(Completion::Fresh),
                     "journal recovery already deduplicated chunk records"
                 );
-                {
-                    let mut slots = shared.records.lock().expect("records lock");
-                    for (trial, record) in delta.records {
-                        slots[trial as usize] = Some(record);
-                    }
-                }
-                shared.harness.lock().expect("harness lock").merge(&delta.harness);
-                shared
-                    .restores
-                    .lock()
-                    .expect("restores lock")
-                    .merge(&delta.restores);
-                shared
-                    .verdicts
-                    .lock()
-                    .expect("verdicts lock")
-                    .merge(&delta.verdicts);
-                shared.with_ledger(replay_worker, |l| {
-                    l.chunks_completed += 1;
-                    l.trials_completed += chunk_trials;
-                    l.harness.merge(&delta.harness);
-                    l.restores.merge(&delta.restores);
-                });
-                progress.chunks_done.fetch_add(1, Ordering::Relaxed);
+                shared.merge(replay_worker, delta);
             }
         }
 
@@ -1013,7 +979,9 @@ impl Coordinator {
             });
 
             // The drive loop: expire lost leases, watch for drain, and
-            // degrade to inline execution if no worker ever shows up.
+            // degrade to inline execution if no worker ever shows up. A
+            // turn ends waiting on `table_changed` for at most 5 ms, so
+            // the fresh merge that drains the table wakes it at once.
             loop {
                 // Sabotage first: if the test asked this incarnation to
                 // die after N fresh completions, it must die even if the
@@ -1028,14 +996,11 @@ impl Coordinator {
                         break;
                     }
                 }
-                let (requeued, drained) = {
-                    let mut table = shared.table.lock().expect("lease lock");
-                    (table.expire(shared.now_ms()), table.is_drained())
-                };
-                if requeued > 0 {
+                let mut table = shared.table.lock().expect("lease lock");
+                if table.expire(shared.now_ms()) > 0 {
                     shared.table_changed.notify_all();
                 }
-                if drained {
+                if table.is_drained() {
                     break;
                 }
                 if shared.started.elapsed() >= dist.drain_timeout {
@@ -1049,10 +1014,16 @@ impl Coordinator {
                     && !shared.ever_attached.load(Ordering::SeqCst)
                     && shared.started.elapsed() >= dist.fallback_grace
                 {
+                    drop(table);
                     shared.run_inline_fallback();
                     continue;
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                drop(
+                    shared
+                        .table_changed
+                        .wait_timeout(table, Duration::from_millis(5))
+                        .expect("lease lock"),
+                );
             }
             // Linger after drain: a worker whose request was in flight (or
             // still rebuilding its session) would otherwise see the
@@ -1066,9 +1037,8 @@ impl Coordinator {
                 shared.last_request_ms.store(shared.now_ms(), Ordering::SeqCst);
                 loop {
                     let all_notified = {
-                        let remote = shared.remote_workers.lock().expect("remote lock");
-                        let drained = shared.drained_workers.lock().expect("drained lock");
-                        remote.iter().all(|w| drained.contains(w))
+                        let books = shared.books();
+                        books.remote.is_subset(&books.drained)
                     };
                     let idle = shared
                         .now_ms()
@@ -1095,9 +1065,9 @@ impl Coordinator {
             return Err(error);
         }
 
-        let records = shared.records.into_inner().expect("records lock");
-        let mut trials = Vec::with_capacity(records.len());
-        for (trial, record) in records.into_iter().enumerate() {
+        let books = shared.books.into_inner().expect("books lock");
+        let mut trials = Vec::with_capacity(books.records.len());
+        for (trial, record) in books.records.into_iter().enumerate() {
             match record {
                 Some(record) => trials.push(record),
                 None => {
@@ -1110,8 +1080,8 @@ impl Coordinator {
         let campaign = CampaignResult {
             golden: session.golden().clone(),
             trials,
-            restore_stats: shared.restores.into_inner().expect("restores lock"),
-            harness_stats: shared.harness.into_inner().expect("harness lock"),
+            restore_stats: books.restores,
+            harness_stats: books.harness,
             checkpoint_capture_bytes: session.checkpoint_capture_bytes(),
             elapsed: session.elapsed(),
         };
@@ -1126,11 +1096,11 @@ impl Coordinator {
         };
         Ok(DistResult {
             campaign,
-            workers: shared.workers.into_inner().expect("ledger lock"),
+            workers: books.workers,
             redeliveries: shared.table.into_inner().expect("lease lock").redeliveries(),
             fallback_used: shared.fallback_used.load(Ordering::SeqCst),
             resume,
-            verdicts: shared.verdicts.into_inner().expect("verdicts lock"),
+            verdicts: books.verdicts,
             wire,
             chaos: chaos.as_ref().map_or_else(ChaosCounts::default, |c| c.counts()),
         })

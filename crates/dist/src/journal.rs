@@ -23,6 +23,9 @@
 //!                   outcomes, verdicts }
 //! ```
 //!
+//! A chunk record's `(trial, record)*, harness, restores` is the chunk
+//! body a `Request::Complete` carries, written by the same codec.
+//!
 //! All integers are little-endian ([`certa_fault::wire`]). The first
 //! record is always a `Header` pinning the campaign's identity; every
 //! [`Journal::open`] appends one `Epoch` record, so the current epoch is
@@ -58,13 +61,14 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use certa_fault::wire::{
-    decode_campaign_config, decode_harness_stats, decode_outcome_counts, decode_restore_stats,
-    decode_trial_record, decode_verdict_counts, encode_campaign_config, encode_harness_stats,
-    encode_outcome_counts, encode_restore_stats, encode_trial_record, encode_verdict_counts,
-    ByteReader, ByteWriter,
+    decode_campaign_config, decode_outcome_counts, decode_verdict_counts, encode_campaign_config,
+    encode_outcome_counts, encode_verdict_counts, ByteReader, ByteWriter,
 };
 use certa_fault::{CampaignConfig, HarnessStats, OutcomeCounts, RestoreStats, TrialChunk, TrialRecord};
 use certa_fidelity::verdict::VerdictCounts;
+use certa_isa::fnv1a;
+
+use crate::protocol::{decode_chunk_body, encode_chunk_body};
 
 /// File magic: distinguishes a journal from arbitrary bytes before any
 /// record parsing happens.
@@ -211,21 +215,11 @@ pub struct Journal {
     torn: bool,
 }
 
-// FNV-1a 64-bit record checksums — the workspace's standard content
-// hash, shared with the wire protocol's frame checksums.
-use crate::protocol::fnv1a;
-
 fn encode_chunk_payload(chunk: &ChunkRecord) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u8(TAG_CHUNK);
     w.u32(chunk.chunk);
-    w.u32(u32::try_from(chunk.records.len()).expect("chunk fits in u32"));
-    for (trial, record) in &chunk.records {
-        w.u32(*trial);
-        encode_trial_record(&mut w, record);
-    }
-    encode_harness_stats(&mut w, &chunk.harness);
-    encode_restore_stats(&mut w, &chunk.restores);
+    encode_chunk_body(&mut w, &chunk.records, &chunk.harness, &chunk.restores);
     encode_outcome_counts(&mut w, &chunk.outcomes);
     encode_verdict_counts(&mut w, &chunk.verdicts);
     w.finish()
@@ -266,17 +260,12 @@ fn decode_payload(payload: &[u8]) -> Option<Payload> {
         TAG_EPOCH => Payload::Epoch(r.u64().ok()?),
         TAG_CHUNK => {
             let chunk = r.u32().ok()?;
-            let count = r.u32().ok()? as usize;
-            let mut records = Vec::with_capacity(count.min(1 << 20));
-            for _ in 0..count {
-                let trial = r.u32().ok()?;
-                records.push((trial, decode_trial_record(&mut r).ok()?));
-            }
+            let (records, harness, restores) = decode_chunk_body(&mut r).ok()?;
             Payload::Chunk(ChunkRecord {
                 chunk,
                 records,
-                harness: decode_harness_stats(&mut r).ok()?,
-                restores: decode_restore_stats(&mut r).ok()?,
+                harness,
+                restores,
                 outcomes: decode_outcome_counts(&mut r).ok()?,
                 verdicts: decode_verdict_counts(&mut r).ok()?,
             })
@@ -287,25 +276,34 @@ fn decode_payload(payload: &[u8]) -> Option<Payload> {
     Some(parsed)
 }
 
-/// Validates a replayed chunk record against the campaign identity.
-fn validate_chunk(chunk: &ChunkRecord, identity: &JournalIdentity<'_>) -> Result<(), JournalError> {
-    let Some(expected) = identity.chunks.get(chunk.chunk as usize) else {
-        return Err(JournalError::Identity(format!(
-            "journaled chunk {} not in the {}-chunk plan",
-            chunk.chunk,
-            identity.chunks.len()
-        )));
+/// Checks that `records` carry exactly the trial ids `plan` gives chunk
+/// `chunk`, in any order: the one check a live delivery and a replayed
+/// journal record both pass before they are merged.
+pub(crate) fn check_trial_ids(
+    plan: &[TrialChunk],
+    chunk: u32,
+    records: &[(u32, TrialRecord)],
+) -> Result<(), String> {
+    let Some(expected) = plan.get(chunk as usize) else {
+        return Err(format!(
+            "chunk {chunk} is not in the {}-chunk plan",
+            plan.len()
+        ));
     };
-    let mut got: Vec<u32> = chunk.records.iter().map(|(t, _)| *t).collect();
+    let mut got: Vec<u32> = records.iter().map(|(t, _)| *t).collect();
     got.sort_unstable();
     let mut want = expected.trials.clone();
     want.sort_unstable();
     if got != want {
-        return Err(JournalError::Identity(format!(
-            "journaled chunk {} trial ids do not match the chunk plan",
-            chunk.chunk
-        )));
+        return Err(format!("chunk {chunk}'s trial ids do not match the chunk plan"));
     }
+    Ok(())
+}
+
+/// Validates a replayed chunk record against the campaign identity.
+fn validate_chunk(chunk: &ChunkRecord, identity: &JournalIdentity<'_>) -> Result<(), JournalError> {
+    check_trial_ids(identity.chunks, chunk.chunk, &chunk.records)
+        .map_err(|e| JournalError::Identity(format!("journaled {e}")))?;
     let recomputed = OutcomeCounts::of(chunk.records.iter().map(|(_, r)| r));
     if recomputed != chunk.outcomes {
         return Err(JournalError::Corrupt(format!(

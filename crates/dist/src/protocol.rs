@@ -80,6 +80,7 @@ use certa_fault::wire::{
     ByteReader, ByteWriter, WireError,
 };
 use certa_fault::{CampaignConfig, HarnessStats, RestoreStats, TrialRecord};
+use certa_isa::{fnv1a, fnv1a_with};
 
 /// Protocol version; a [`Request::Hello`] with any other version is
 /// rejected. Bump on any frame-format change.
@@ -100,26 +101,6 @@ pub const MAX_FRAME_BYTES: u32 = 64 << 20;
 /// Bytes of frame header preceding the payload: `u32` length, `u64`
 /// sequence number, `u64` FNV-1a checksum.
 pub const FRAME_HEADER_BYTES: usize = 4 + 8 + 8;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64-bit — the workspace's standard content hash (same constants
-/// as the session fingerprint and the journal record checksum).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_with(FNV_OFFSET, bytes)
-}
-
-/// Continues an FNV-1a chain from `seed` over `bytes`, so multi-field
-/// hashes need no intermediate buffer.
-pub(crate) fn fnv1a_with(seed: u64, bytes: &[u8]) -> u64 {
-    let mut hash = seed;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 fn frame_checksum(seq: u64, payload: &[u8]) -> u64 {
     fnv1a_with(fnv1a(&seq.to_le_bytes()), payload)
@@ -472,10 +453,43 @@ fn decode_job_spec(r: &mut ByteReader<'_>) -> Result<JobSpec, WireError> {
 }
 
 /// Cap on `Vec::with_capacity` pre-allocation while decoding adversarial
-/// counts: large honest collections still decode (the loop pushes past
-/// the capacity), but a forged count cannot reserve more than this many
-/// elements up front.
+/// counts, on the wire and in the journal: large honest collections
+/// still decode (the loop pushes past the capacity), but a forged count
+/// cannot reserve more than this many elements up front.
 const DECODE_PREALLOC_CAP: usize = 4096;
+
+/// A chunk's results: its `(trial id, record)` pairs, one per trial, and
+/// the harness and restore counter deltas running them added.
+pub(crate) type ChunkBody = (Vec<(u32, TrialRecord)>, HarnessStats, RestoreStats);
+
+/// Encodes a chunk's results as `u32 count ++ (u32 trial ++ record)* ++
+/// harness ++ restores`: the body of both [`Request::Complete`] and the
+/// journal's chunk record.
+pub(crate) fn encode_chunk_body(
+    w: &mut ByteWriter,
+    records: &[(u32, TrialRecord)],
+    harness: &HarnessStats,
+    restores: &RestoreStats,
+) {
+    w.u32(u32::try_from(records.len()).expect("chunk fits in u32"));
+    for (trial, record) in records {
+        w.u32(*trial);
+        encode_trial_record(w, record);
+    }
+    encode_harness_stats(w, harness);
+    encode_restore_stats(w, restores);
+}
+
+/// Decodes what [`encode_chunk_body`] wrote.
+pub(crate) fn decode_chunk_body(r: &mut ByteReader<'_>) -> Result<ChunkBody, WireError> {
+    let count = r.u32()? as usize;
+    let mut records = Vec::with_capacity(count.min(DECODE_PREALLOC_CAP));
+    for _ in 0..count {
+        let trial = r.u32()?;
+        records.push((trial, decode_trial_record(r)?));
+    }
+    Ok((records, decode_harness_stats(r)?, decode_restore_stats(r)?))
+}
 
 impl Request {
     /// Encodes this request as one frame payload.
@@ -527,13 +541,7 @@ impl Request {
                 w.u64(*lease);
                 w.u32(*chunk);
                 w.u64(*epoch);
-                w.u32(u32::try_from(records.len()).expect("chunk fits in u32"));
-                for (trial, record) in records {
-                    w.u32(*trial);
-                    encode_trial_record(&mut w, record);
-                }
-                encode_harness_stats(&mut w, harness);
-                encode_restore_stats(&mut w, restores);
+                encode_chunk_body(&mut w, records, harness, restores);
             }
         }
         w.finish()
@@ -567,20 +575,15 @@ impl Request {
                 let lease = r.u64()?;
                 let chunk = r.u32()?;
                 let epoch = r.u64()?;
-                let count = r.u32()? as usize;
-                let mut records = Vec::with_capacity(count.min(DECODE_PREALLOC_CAP));
-                for _ in 0..count {
-                    let trial = r.u32()?;
-                    records.push((trial, decode_trial_record(&mut r)?));
-                }
+                let (records, harness, restores) = decode_chunk_body(&mut r)?;
                 Request::Complete {
                     worker,
                     lease,
                     chunk,
                     epoch,
                     records,
-                    harness: decode_harness_stats(&mut r)?,
-                    restores: decode_restore_stats(&mut r)?,
+                    harness,
+                    restores,
                 }
             }
             _ => return Err(WireError::Malformed("request tag")),

@@ -36,8 +36,8 @@
 //! meant:
 //!
 //! * **Same epoch** — the coordinator never died; the connection did. A
-//!   completion that was in flight when the connection dropped
-//!   (`PendingComplete`) is simply re-sent: the coordinator dedups
+//!   completion that was in flight when the connection dropped (the
+//!   staged `Complete`) is simply re-sent: the coordinator dedups
 //!   (`Ack { accepted: false }` = already merged, counted as a stale
 //!   ack).
 //! * **New epoch** — the old incarnation is dead. Its leases and any
@@ -59,7 +59,7 @@ use rand::{Rng, RngCore, SeedableRng};
 
 use crate::chaos::{Chaos, ChaosCounts, NetStream};
 use crate::protocol::{
-    auth_proof, auth_token, FrameCodec, JobSpec, Request, Response, PROTOCOL_VERSION,
+    auth_proof, auth_token, ChunkBody, FrameCodec, JobSpec, Request, Response, PROTOCOL_VERSION,
 };
 use crate::DistError;
 
@@ -286,18 +286,19 @@ fn heartbeat_guard(
     }
 }
 
-/// A completed chunk whose `Complete` has not been accepted yet. The
-/// `Request::Complete` is built once, *before* the first delivery
-/// attempt, and every attempt sends it by reference, so a connection lost
-/// anywhere in the round trip leaves the payload re-sendable unchanged.
-/// The epoch stamped in the request decides its fate on re-attach: same
-/// epoch → re-send (the coordinator dedups), new epoch → drop and count
-/// (the work belonged to a dead incarnation).
-struct PendingComplete {
-    trials: u64,
-    harness: HarnessStats,
-    restores: RestoreStats,
-    request: Request,
+/// Runs one chunk's trials on `session` and returns everything its
+/// `Complete` carries: the records and the harness and restore counter
+/// deltas the run added. Workers and the coordinator's inline fallback
+/// both run chunks through it.
+pub(crate) fn run_chunk(session: &CampaignSession<'_>, trials: &[u32]) -> ChunkBody {
+    let harness = session.harness_stats();
+    let restores = session.restore_stats();
+    let records = session.run_subset(trials);
+    (
+        trials.iter().copied().zip(records).collect(),
+        session.harness_stats().saturating_sub(&harness),
+        session.restore_stats().saturating_sub(&restores),
+    )
 }
 
 /// Everything about the job that is fixed for the life of the worker
@@ -435,25 +436,35 @@ fn attach(
     }
 }
 
-/// Delivers `pending` and settles the `Ack`. `Ok(None)` = settled (fresh
-/// or stale-duplicate — either way the payload is spent); `Ok(Some)` =
-/// the coordinator fenced us (new epoch): payload dropped and counted,
-/// caller must re-attach. A connection error propagates with `pending`
-/// still intact for the re-attach path to settle.
+/// Delivers the staged `Request::Complete` in `pending` and settles the
+/// `Ack`. The request is built once, *before* the first delivery attempt,
+/// and every attempt sends it by reference, so a connection lost anywhere
+/// in the round trip leaves it re-sendable unchanged. `Ok(None)` =
+/// settled (fresh or stale-duplicate — either way the payload is spent);
+/// `Ok(Some)` = the coordinator fenced us (new epoch): payload dropped and
+/// counted, caller must re-attach. A connection error propagates with
+/// `pending` still intact for the re-attach path to settle.
 fn deliver(
     channel: &mut Channel,
     epoch: u64,
-    pending: &mut Option<PendingComplete>,
+    pending: &mut Option<Request>,
     report: &mut WorkerReport,
 ) -> Result<Option<Served>, DistError> {
     let staged = pending.as_ref().expect("deliver needs a payload");
-    match channel.roundtrip(&staged.request)? {
+    match channel.roundtrip(staged)? {
         Response::Ack { accepted: true, .. } => {
-            let sent = pending.take().expect("payload still pending");
-            report.chunks_completed += 1;
-            report.trials_completed += sent.trials;
-            report.harness.merge(&sent.harness);
-            report.restores.merge(&sent.restores);
+            if let Some(Request::Complete {
+                records,
+                harness,
+                restores,
+                ..
+            }) = pending.take()
+            {
+                report.chunks_completed += 1;
+                report.trials_completed += records.len() as u64;
+                report.harness.merge(&harness);
+                report.restores.merge(&restores);
+            }
             Ok(None)
         }
         Response::Ack {
@@ -487,7 +498,7 @@ fn serve<'a>(
     worker: u32,
     epoch: u64,
     session: &mut Option<CampaignSession<'a>>,
-    pending: &mut Option<PendingComplete>,
+    pending: &mut Option<Request>,
     report: &mut WorkerReport,
 ) -> Result<Served, DistError> {
     // Settle a completion left over from a lost connection first: same
@@ -586,29 +597,20 @@ fn serve<'a>(
                 if !ctx.opts.throttle_per_chunk.is_zero() {
                     std::thread::sleep(ctx.opts.throttle_per_chunk);
                 }
-                let harness_before = live.harness_stats();
-                let restores_before = live.restore_stats();
-                let records = live.run_subset(&trials);
-                let harness = live.harness_stats().saturating_sub(&harness_before);
-                let restores = live.restore_stats().saturating_sub(&restores_before);
+                let (records, harness, restores) = run_chunk(live, &trials);
                 drop(stop);
                 guard.join().expect("heartbeat guard panicked");
 
                 // Stage the request *before* the first send attempt, so
                 // a connection lost mid-round-trip can re-send it.
-                *pending = Some(PendingComplete {
-                    trials: trials.len() as u64,
+                *pending = Some(Request::Complete {
+                    worker,
+                    lease,
+                    chunk,
+                    epoch,
+                    records,
                     harness,
                     restores,
-                    request: Request::Complete {
-                        worker,
-                        lease,
-                        chunk,
-                        epoch,
-                        records: trials.iter().copied().zip(records).collect(),
-                        harness,
-                        restores,
-                    },
                 });
                 if let Some(served) = deliver(channel, epoch, pending, report)? {
                     return Ok(served);
@@ -697,7 +699,7 @@ pub fn run_worker(
         opts,
     };
     let mut session: Option<CampaignSession<'_>> = None;
-    let mut pending: Option<PendingComplete> = None;
+    let mut pending: Option<Request> = None;
 
     loop {
         let served = serve(

@@ -14,10 +14,13 @@ use certa_dist::{
     run_worker, Coordinator, CoordinatorSabotage, DistConfig, DistError, DistProgress,
     DistResult, WorkerOptions, WorkerReport, WorkerSabotage, REPLAY_LEDGER_NAME,
 };
-use certa_fault::{run_campaign, CampaignConfig, CampaignSession, Target};
+use certa_fault::{
+    run_campaign, CampaignConfig, CampaignSession, HarnessStats, RestoreStats, Target, TrialRecord,
+};
+use certa_fidelity::verdict::TrialVerdict;
 use certa_isa::reg::{T0, T1, T2, T3};
 use certa_isa::Program;
-use certa_sim::Machine;
+use certa_sim::{Machine, Outcome};
 
 /// The campaign crate's canonical tiny workload: sums 64 input bytes
 /// into a 32-bit little-endian output.
@@ -494,6 +497,99 @@ fn coordinator_crash_and_resume_is_byte_identical() {
     );
 
     let _ = std::fs::remove_file(&journal_path);
+}
+
+/// The coordinator's books agree with the workers and with replay. After
+/// a durable 2-worker campaign, its restore and harness sums equal the
+/// sums of the deltas each worker counted as accepted — the workers'
+/// own tally, kept apart from the coordinator's merge. Then a coordinator
+/// resumed on the finished journal, with no workers and no inline
+/// fallback, can only finish from replay, and must rebuild the same
+/// records, stat sums and verdicts.
+#[test]
+fn workers_and_replay_agree_with_the_books() {
+    let trials = 48;
+    let target = SumTarget::new();
+    let tags = analyze(target.program());
+    let cfg = config(trials);
+    let session = CampaignSession::new(&target, &tags, &cfg);
+    let golden = session.golden().output.clone();
+    let classify = move |record: &TrialRecord| match record.result() {
+        None => TrialVerdict::HarnessError,
+        Some(r) if r.output.as_deref() == Some(golden.as_slice()) => TrialVerdict::Masked,
+        Some(r) if r.outcome == Outcome::InfiniteRun => TrialVerdict::Hang,
+        Some(_) => TrialVerdict::SilentCorruption,
+    };
+
+    let journal_path =
+        std::env::temp_dir().join(format!("certa-books-agree-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&journal_path);
+    let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
+    let addr = coordinator.local_addr().expect("addr");
+    let dist = DistConfig {
+        fallback_inline: false,
+        chunk_parts: 6,
+        drain_timeout: Duration::from_secs(120),
+        ..DistConfig::default()
+    };
+    let (first, reports) = std::thread::scope(|scope| {
+        let handles: Vec<_> = [fast_worker("alpha", 31), fast_worker("beta", 32)]
+            .into_iter()
+            .map(|opts| scope.spawn(move || run_worker(addr, &resolve_sum, &opts)))
+            .collect();
+        let result = coordinator
+            .run_durable(
+                &session,
+                "sum",
+                &dist,
+                &DistProgress::default(),
+                &journal_path,
+                Some(&classify),
+            )
+            .expect("durable campaign");
+        let reports: Vec<WorkerReport> = handles
+            .into_iter()
+            .map(|h| h.join().unwrap().expect("worker finished clean"))
+            .collect();
+        (result, reports)
+    });
+
+    let mut harness = HarnessStats::default();
+    let mut restores = RestoreStats::default();
+    for report in &reports {
+        harness.merge(&report.harness);
+        restores.merge(&report.restores);
+    }
+    assert!(restores.total() > 0, "the campaign restored checkpoints");
+    assert_eq!(first.campaign.restore_stats, restores);
+    assert_eq!(first.campaign.harness_stats, harness);
+    assert_eq!(first.verdicts.total(), trials);
+
+    let replayed = coordinator
+        .run_durable(
+            &session,
+            "sum",
+            &dist,
+            &DistProgress::default(),
+            &journal_path,
+            Some(&classify),
+        )
+        .expect("a finished journal resumes from replay alone");
+    let _ = std::fs::remove_file(&journal_path);
+    assert_eq!(
+        replayed.resume.replayed_chunks,
+        session.chunk_plan(dist.chunk_parts).len() as u64
+    );
+    assert_eq!(replayed.campaign.trials, first.campaign.trials);
+    assert_eq!(
+        replayed.campaign.restore_stats,
+        first.campaign.restore_stats
+    );
+    assert_eq!(
+        replayed.campaign.harness_stats,
+        first.campaign.harness_stats
+    );
+    assert_eq!(replayed.verdicts, first.verdicts);
 }
 
 /// Satellite: a completion stamped with a dead incarnation's epoch is

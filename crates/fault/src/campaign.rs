@@ -96,7 +96,7 @@
 //! with deliberate panics and hangs to prove all of this end to end.
 
 use certa_core::TagMap;
-use certa_isa::Program;
+use certa_isa::{fnv1a, fnv1a_with, Program};
 use certa_sim::{
     AotProgram, BoundedRun, DecodedProgram, Machine, MachineConfig, NoHook, Outcome, RunResult,
     Snapshot, SuperblockPolicy, WritebackHook, DATA_BASE,
@@ -314,7 +314,7 @@ pub enum HarnessFailure {
 pub enum TrialStatus {
     /// The trial ran to an experimental outcome.
     Completed(TrialResult),
-    /// The trial failed the harness [`MAX_ATTEMPTS`] times and was
+    /// The trial failed the harness `MAX_ATTEMPTS` times and was
     /// retried out. Reported, never silently dropped.
     HarnessError(HarnessFailure),
 }
@@ -1854,12 +1854,13 @@ impl<'a> CampaignSession<'a> {
     /// mismatch.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut hash = fnv1a_u64(FNV_OFFSET, self.config.trials as u64);
-        hash = fnv1a_u64(hash, self.config.errors);
-        hash = fnv1a_u64(hash, self.config.seed);
-        hash = fnv1a_u64(hash, self.config.watchdog_factor);
-        hash = fnv1a_bytes(hash, self.config.protection.label().as_bytes());
-        hash = fnv1a_bytes(hash, self.config.target.label().as_bytes());
+        let word = |hash: u64, value: u64| fnv1a_with(hash, &value.to_le_bytes());
+        let mut hash = word(fnv1a(&[]), self.config.trials as u64);
+        hash = word(hash, self.config.errors);
+        hash = word(hash, self.config.seed);
+        hash = word(hash, self.config.watchdog_factor);
+        hash = fnv1a_with(hash, self.config.protection.label().as_bytes());
+        hash = fnv1a_with(hash, self.config.target.label().as_bytes());
         let (model_tag, model_param) = match self.config.model {
             ErrorModel::SingleBitFlip => (0u64, 0u64),
             ErrorModel::AdjacentDoubleBitFlip => (1, 0),
@@ -1867,12 +1868,12 @@ impl<'a> CampaignSession<'a> {
             ErrorModel::StuckAtZero => (3, 0),
             ErrorModel::StuckAtOne => (4, 0),
         };
-        hash = fnv1a_u64(hash, model_tag);
-        hash = fnv1a_u64(hash, model_param);
-        hash = fnv1a_u64(hash, self.golden.instructions);
-        hash = fnv1a_u64(hash, self.golden.eligible_population);
-        hash = fnv1a_u64(hash, self.golden.output.len() as u64);
-        fnv1a_bytes(hash, &self.golden.output)
+        hash = word(hash, model_tag);
+        hash = word(hash, model_param);
+        hash = word(hash, self.golden.instructions);
+        hash = word(hash, self.golden.eligible_population);
+        hash = word(hash, self.golden.output.len() as u64);
+        fnv1a_with(hash, &self.golden.output)
     }
 
     /// The scheduling sort key of one trial: its restore checkpoint group
@@ -2056,21 +2057,6 @@ impl<'a> CampaignSession<'a> {
         }
         result
     }
-}
-
-/// FNV-1a offset basis (the fingerprint's seed).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_bytes(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
-
-fn fnv1a_u64(hash: u64, value: u64) -> u64 {
-    fnv1a_bytes(hash, &value.to_le_bytes())
 }
 
 #[cfg(test)]

@@ -35,3 +35,34 @@ pub use register::{reg, FReg, Reg, RegParseError};
 pub const NUM_INT_REGS: usize = 32;
 /// Number of floating-point registers in the architecture.
 pub const NUM_FLOAT_REGS: usize = 32;
+
+/// 64-bit FNV-1a of `bytes`: the workspace's one content hash. It keys
+/// program code fingerprints, campaign session fingerprints, wire frame
+/// and journal record checksums, `Hello` tokens and chaos seeds.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_with(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues a 64-bit FNV-1a chain from `hash` over `bytes`, so a hash of
+/// several fields needs no buffer: `fnv1a_with(fnv1a(a), b)` is the
+/// [`fnv1a`] of `a` followed by `b`.
+#[must_use]
+pub fn fnv1a_with(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_with(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
+    }
+}

@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::instr::Instr;
+use crate::{fnv1a, fnv1a_with};
 
 /// Metadata for one function in a [`Program`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,19 +144,13 @@ impl Program {
     /// function names and eligibility do not enter it.
     #[must_use]
     pub fn code_fingerprint(&self) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let eat = |hash: u64, bytes: &[u8]| {
-            bytes
-                .iter()
-                .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-        };
-        let mut hash = 0xcbf2_9ce4_8422_2325;
+        let mut hash = fnv1a(&[]);
         for instr in &self.code {
-            hash = eat(hash, &instr.encoding());
+            hash = fnv1a_with(hash, &instr.encoding());
         }
-        hash = eat(hash, &(self.entry as u64).to_le_bytes());
+        hash = fnv1a_with(hash, &(self.entry as u64).to_le_bytes());
         for f in &self.functions {
-            hash = eat(hash, &(f.start as u64).to_le_bytes());
+            hash = fnv1a_with(hash, &(f.start as u64).to_le_bytes());
         }
         hash
     }
