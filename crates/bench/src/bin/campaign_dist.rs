@@ -20,7 +20,9 @@
 //!    `1 ≤ done < total`), a fresh incarnation resumes from the
 //!    write-ahead journal with fresh workers, and the recovered record
 //!    table must be byte-identical to the inline baseline with at least
-//!    one chunk replayed from the journal rather than re-executed.
+//!    one chunk replayed from the journal rather than re-executed. The
+//!    finished journal's size goes into `BENCH_dist.json`
+//!    (`durable.journal_bytes`).
 //! 4. **Wire chaos** — an N-worker campaign whose every connection (both
 //!    sides) runs under the adversarial fault-injection schedule
 //!    (resets, stalls, bit corruption, duplicate frames, delays) with
@@ -280,6 +282,8 @@ struct DurableStats {
     stale_epoch_completions: u64,
     /// Recovered record table byte-identical to the inline baseline.
     records_match: bool,
+    /// Size of the finished journal, read before it is removed.
+    journal_bytes: u64,
 }
 
 /// The final record table in the campaign wire encoding — the same
@@ -453,6 +457,9 @@ fn run_durable_crash(
         let resumed = resume_line.contains("resumed=true");
         let recovered = std::fs::read(&records_out)
             .map_err(|e| format!("cannot read {}: {e}", records_out.display()))?;
+        let journal_bytes = std::fs::metadata(&journal)
+            .map_err(|e| format!("cannot stat {}: {e}", journal.display()))?
+            .len();
 
         Ok(DurableStats {
             killed_at_chunks,
@@ -463,6 +470,7 @@ fn run_durable_crash(
             replayed_trials: field("replayed_trials").unwrap_or(0),
             stale_epoch_completions: field("stale_epoch").unwrap_or(0),
             records_match: recovered == inline_records,
+            journal_bytes,
         })
     })();
 
@@ -576,7 +584,7 @@ fn main() -> ExitCode {
 \"one_worker\":{{\"seconds\":{:.3},\"trials_per_sec\":{one_tps:.3},\"redeliveries\":{},\"harness\":{}}},\
 \"multi_worker\":{{\"workers\":{workers},\"seconds\":{:.3},\"trials_per_sec\":{multi_tps:.3},\"redeliveries\":{},\"harness\":{},\"per_worker\":[{per_worker}]}},\
 \"worker_kill\":{{\"workers\":{workers},\"seconds\":{:.3},\"redeliveries\":{},\"victim_killed\":{},\"records_match\":{kill_matches}}},\
-\"durable\":{{\"killed_at_chunks\":{},\"total_chunks\":{},\"resumed\":{},\"epoch\":{},\"replayed_chunks\":{},\"replayed_trials\":{},\"stale_epoch_completions\":{},\"records_match\":{}}},\
+\"durable\":{{\"killed_at_chunks\":{},\"total_chunks\":{},\"resumed\":{},\"epoch\":{},\"replayed_chunks\":{},\"replayed_trials\":{},\"stale_epoch_completions\":{},\"records_match\":{},\"journal_bytes\":{}}},\
 \"chaos\":{{\"seed\":{chaos_seed},\"seconds\":{:.3},\"injected\":{chaos_injected},\"resets\":{},\"stalls\":{},\"payload_corruptions\":{},\"length_corruptions\":{},\"duplicates\":{},\"delays\":{},\"corrupt_frames\":{},\"duplicate_frames\":{},\"auth_rejects\":{},\"redeliveries\":{},\"records_match\":{chaos_matches}}},\
 \"speedup_multi_over_one\":{speedup:.3},\"speedup_gate_enforced\":{gate_enforced},\"records_match\":{}}}",
         one.seconds,
@@ -596,6 +604,7 @@ fn main() -> ExitCode {
         durable.replayed_trials,
         durable.stale_epoch_completions,
         durable.records_match,
+        durable.journal_bytes,
         chaos.seconds,
         chaos.result.chaos.resets,
         chaos.result.chaos.stalls,
@@ -652,12 +661,13 @@ fn main() -> ExitCode {
         chaos.result.redeliveries
     );
     eprintln!(
-        "campaign_dist: coordinator killed at {}/{} chunks; resume epoch {} replayed {} chunks ({} trials)",
+        "campaign_dist: coordinator killed at {}/{} chunks; resume epoch {} replayed {} chunks ({} trials); journal {} bytes",
         durable.killed_at_chunks,
         durable.total_chunks,
         durable.epoch,
         durable.replayed_chunks,
-        durable.replayed_trials
+        durable.replayed_trials,
+        durable.journal_bytes
     );
 
     match write_bench_json("dist", &json) {

@@ -3,18 +3,28 @@
 //! and assembles the globally reconciled [`CampaignResult`].
 //!
 //! Threading model: the caller's thread drives lease expiry, inline
-//! fallback, and the drain condition; one scoped acceptor thread takes
-//! connections off the listener; and each connection gets a scoped
-//! handler thread running a trivial request/response loop. All state the
-//! handlers touch lives in one `Shared` struct: atomics plus three
-//! mutexes, each held briefly and never while another is taken, nor
-//! across trial execution or socket I/O.
+//! fallback, and the drain condition; one scoped acceptor thread blocks in
+//! `accept` on the listener; and each connection gets a scoped handler
+//! thread running a trivial request/response loop. A worker opens two
+//! (its main connection and its completion connection, see
+//! [`crate::run_worker`]), plus short-lived heartbeat connections; every
+//! handler serves any request. All state the handlers touch lives in one
+//! `Shared` struct: atomics plus three mutexes, each held briefly and
+//! never while another is taken, nor across trial execution or socket
+//! I/O.
 //!
-//! * The **lease table**, with the `table_changed` condvar that held
-//!   `Lease` requests and the drive loop wait on.
+//! * The **leases**: the lease table and the remote workers that said
+//!   `Hello` or were told `Drained` (or whose connection closed), with the
+//!   `table_changed` condvar that held `Lease` requests, the drive loop
+//!   and the post-drain linger wait on.
 //! * The write-ahead **journal**.
-//! * The **books**: the record table, stat and verdict sums, per-worker
-//!   ledgers, and the remote/drained worker sets.
+//! * The **books**: the record table, stat and verdict sums, and
+//!   per-worker ledgers.
+//!
+//! Nothing sleeps between the merge that drains the table and `run*`'s
+//! return: that merge wakes the drive loop and every held `Lease`, each
+//! `Drained` answer or closed connection wakes the linger, and shutdown
+//! wakes the acceptor with a connection to its own listener.
 //!
 //! A chunk's results take one path. A fresh delivery, whether from a
 //! remote worker or the inline fallback, is journaled and synced under
@@ -24,7 +34,7 @@
 //! `fdatasync`.
 
 use std::collections::HashSet;
-use std::net::{TcpListener, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -277,6 +287,19 @@ pub struct ResumeStats {
     pub stale_epoch_completions: u64,
 }
 
+/// The lease table and which remote workers can still send a request,
+/// behind one lock: a held `Lease` waits on the table, and the post-drain
+/// linger on both.
+struct Leases {
+    table: LeaseTable,
+    /// Worker ids that said `Hello` over the wire (the inline fallback
+    /// and the replay ledger never appear here).
+    remote: HashSet<u32>,
+    /// Remote workers that have been answered with `Drained`, or whose
+    /// connection closed.
+    drained: HashSet<u32>,
+}
+
 /// Everything a merged chunk or an attach updates, behind one lock.
 #[derive(Default)]
 struct Books {
@@ -287,12 +310,6 @@ struct Books {
     verdicts: VerdictCounts,
     /// Per-worker attribution, indexed by worker id.
     workers: Vec<WorkerLedger>,
-    /// Worker ids that said `Hello` over the wire (the inline fallback
-    /// and the replay ledger never appear here).
-    remote: HashSet<u32>,
-    /// Remote workers that have been answered with `Drained`, or whose
-    /// connection closed.
-    drained: HashSet<u32>,
 }
 
 impl Books {
@@ -319,11 +336,13 @@ struct Shared<'s, 'a> {
     /// completion can ever carry a different epoch).
     epoch: u64,
     classify: Option<&'s VerdictClassifier>,
-    table: Mutex<LeaseTable>,
+    leases: Mutex<Leases>,
     /// Signalled, after the change, whenever a held `Lease` request's
     /// answer may have changed: a Fresh completion (which may also drain
     /// the table), an expiry that re-queued a chunk, and shutdown. The
-    /// drive loop waits on it too.
+    /// drive loop waits on it too, and so does the post-drain linger,
+    /// which it also wakes when a remote worker is answered `Drained` or
+    /// its connection closes.
     table_changed: Condvar,
     /// The write-ahead journal; a Fresh delta is appended (and synced)
     /// under this lock *before* it is merged into the books.
@@ -351,6 +370,10 @@ struct Shared<'s, 'a> {
 impl Shared<'_, '_> {
     fn now_ms(&self) -> u64 {
         u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX)
+    }
+
+    fn leases(&self) -> MutexGuard<'_, Leases> {
+        self.leases.lock().expect("lease lock")
     }
 
     fn books(&self) -> MutexGuard<'_, Books> {
@@ -396,12 +419,8 @@ impl Shared<'_, '_> {
                     .secret
                     .as_deref()
                     .map_or(0, |secret| auth_proof(secret, challenge));
-                let worker = {
-                    let mut books = self.books();
-                    let worker = books.attach(&name);
-                    books.remote.insert(worker);
-                    worker
-                };
+                let worker = self.books().attach(&name);
+                self.leases().remote.insert(worker);
                 self.ever_attached.store(true, Ordering::SeqCst);
                 self.progress.workers_attached.fetch_add(1, Ordering::Relaxed);
                 Response::Welcome {
@@ -442,10 +461,7 @@ impl Shared<'_, '_> {
                             epoch: self.epoch,
                         }
                     }
-                    Err(true) => {
-                        self.books().drained.insert(worker);
-                        Response::Drained
-                    }
+                    Err(true) => Response::Drained,
                     Err(false) => Response::Wait { poll_ms: 0 },
                 }
             }
@@ -464,7 +480,7 @@ impl Shared<'_, '_> {
                     };
                 }
                 let now = self.now_ms();
-                let accepted = self.table.lock().expect("lease lock").heartbeat(lease, now);
+                let accepted = self.leases().table.heartbeat(lease, now);
                 self.with_ledger(worker, |l| l.heartbeats += 1);
                 Response::Ack {
                     accepted,
@@ -506,30 +522,33 @@ impl Shared<'_, '_> {
 
     /// Leases a chunk to `worker`, or holds the request for at most
     /// [`DistConfig::worker_poll`] until one frees up. `Err(true)` means
-    /// the table drained, `Err(false)` that the hold ran out (or the
-    /// coordinator is shutting down) with nothing to grant.
+    /// the table drained (and `worker` is marked as told so), `Err(false)`
+    /// that the hold ran out (or the coordinator is shutting down) with
+    /// nothing to grant.
     fn lease_or_hold(&self, worker: u32) -> Result<(u64, u32, Vec<u32>), bool> {
         let deadline = Instant::now() + self.dist.worker_poll;
-        let mut table = self.table.lock().expect("lease lock");
+        let mut leases = self.leases();
         loop {
             let now = self.now_ms();
-            if table.expire(now) > 0 {
+            if leases.table.expire(now) > 0 {
                 // Other held requests may take the rest of what came back.
                 self.table_changed.notify_all();
             }
-            if let Some(grant) = table.lease(worker, now) {
+            if let Some(grant) = leases.table.lease(worker, now) {
                 return Ok(grant);
             }
-            if table.is_drained() {
+            if leases.table.is_drained() {
+                leases.drained.insert(worker);
+                self.table_changed.notify_all();
                 return Err(true);
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() || self.shutdown.load(Ordering::SeqCst) {
                 return Err(false);
             }
-            table = self
+            leases = self
                 .table_changed
-                .wait_timeout(table, left)
+                .wait_timeout(leases, left)
                 .expect("lease lock")
                 .0;
         }
@@ -549,11 +568,7 @@ impl Shared<'_, '_> {
         restores: RestoreStats,
     ) -> Result<bool, String> {
         check_trial_ids(&self.chunks, chunk, &records)?;
-        let completion = self
-            .table
-            .lock()
-            .expect("lease lock")
-            .complete(chunk, worker);
+        let completion = self.leases().table.complete(chunk, worker);
         match completion {
             None => Err(format!("unknown chunk {chunk}")),
             Some(Completion::Stale) => {
@@ -624,9 +639,9 @@ impl Shared<'_, '_> {
         loop {
             let now = self.now_ms();
             let granted = {
-                let mut table = self.table.lock().expect("lease lock");
-                table.expire(now);
-                table.lease(worker, now)
+                let mut leases = self.leases();
+                leases.table.expire(now);
+                leases.table.lease(worker, now)
             };
             let Some((_lease, chunk, trials)) = granted else {
                 return;
@@ -736,7 +751,8 @@ fn handle_connection(shared: &Shared<'_, '_>, mut stream: NetStream) {
     // A closed connection can never be told `Drained`; release the
     // post-drain linger from waiting on the workers it carried.
     if !helloed.is_empty() {
-        shared.books().drained.extend(helloed);
+        shared.leases().drained.extend(helloed);
+        shared.table_changed.notify_all();
     }
 }
 
@@ -754,9 +770,9 @@ impl Coordinator {
     ///
     /// Propagates bind/configuration failures.
     pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(Coordinator { listener })
+        Ok(Coordinator {
+            listener: TcpListener::bind(addr)?,
+        })
     }
 
     /// The bound address (workers connect here).
@@ -871,6 +887,14 @@ impl Coordinator {
                 "refusing to serve non-loopback listener {local} without a shared secret"
             )));
         }
+        // Where shutdown connects to wake the acceptor.
+        let mut wake = local;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let chaos = dist.chaos.clone().map(Chaos::new);
         let chunks = session.chunk_plan(dist.chunk_parts);
         let fingerprint = session.fingerprint();
@@ -909,7 +933,11 @@ impl Coordinator {
             started: Instant::now(),
             epoch: resume.epoch,
             classify,
-            table: Mutex::new(table),
+            leases: Mutex::new(Leases {
+                table,
+                remote: HashSet::new(),
+                drained: HashSet::new(),
+            }),
             table_changed: Condvar::new(),
             journal: Mutex::new(journal),
             books: Mutex::new(Books {
@@ -938,11 +966,7 @@ impl Coordinator {
             for delta in recovery.completed {
                 resume.replayed_chunks += 1;
                 resume.replayed_trials += delta.records.len() as u64;
-                let completion = shared
-                    .table
-                    .lock()
-                    .expect("lease lock")
-                    .complete(delta.chunk, replay_worker);
+                let completion = shared.leases().table.complete(delta.chunk, replay_worker);
                 assert_eq!(
                     completion,
                     Some(Completion::Fresh),
@@ -954,27 +978,23 @@ impl Coordinator {
 
         let mut drain_error: Option<DistError> = None;
         std::thread::scope(|scope| {
-            let acceptor = scope.spawn(|| {
-                loop {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        return;
+            let acceptor = scope.spawn(|| loop {
+                let accepted = self.listener.accept();
+                // Shutdown wakes this `accept` with a connection of its own.
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    return;
+                }
+                match accepted {
+                    Ok((stream, _)) => {
+                        let stream = match &chaos {
+                            Some(chaos) => NetStream::Chaos(chaos.wrap(stream)),
+                            None => NetStream::Plain(stream),
+                        };
+                        scope.spawn(|| handle_connection(&shared, stream));
                     }
-                    match self.listener.accept() {
-                        Ok((stream, _)) => {
-                            let stream = match &chaos {
-                                Some(chaos) => NetStream::Chaos(chaos.wrap(stream)),
-                                None => NetStream::Plain(stream),
-                            };
-                            scope.spawn(|| handle_connection(&shared, stream));
-                        }
-                        Err(e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                        {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                    }
+                    // A failing `accept` (out of file descriptors, say)
+                    // backs off instead of spinning.
+                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
                 }
             });
 
@@ -996,11 +1016,11 @@ impl Coordinator {
                         break;
                     }
                 }
-                let mut table = shared.table.lock().expect("lease lock");
-                if table.expire(shared.now_ms()) > 0 {
+                let mut leases = shared.leases();
+                if leases.table.expire(shared.now_ms()) > 0 {
                     shared.table_changed.notify_all();
                 }
-                if table.is_drained() {
+                if leases.table.is_drained() {
                     break;
                 }
                 if shared.started.elapsed() >= dist.drain_timeout {
@@ -1014,14 +1034,14 @@ impl Coordinator {
                     && !shared.ever_attached.load(Ordering::SeqCst)
                     && shared.started.elapsed() >= dist.fallback_grace
                 {
-                    drop(table);
+                    drop(leases);
                     shared.run_inline_fallback();
                     continue;
                 }
                 drop(
                     shared
                         .table_changed
-                        .wait_timeout(table, Duration::from_millis(5))
+                        .wait_timeout(leases, Duration::from_millis(5))
                         .expect("lease lock"),
                 );
             }
@@ -1032,32 +1052,40 @@ impl Coordinator {
             // answered `Drained` or dropped its connection, bounded by a
             // no-incoming-request window for workers that died without
             // closing cleanly (SIGKILL leaves the peer OS to close the
-            // socket, which still unblocks us via the connection path).
+            // socket, which still unblocks us via the connection path). Each
+            // `Drained` answer and each closed connection wakes the wait.
             if drain_error.is_none() {
                 shared.last_request_ms.store(shared.now_ms(), Ordering::SeqCst);
+                let mut leases = shared.leases();
                 loop {
-                    let all_notified = {
-                        let books = shared.books();
-                        books.remote.is_subset(&books.drained)
-                    };
                     let idle = shared
                         .now_ms()
                         .saturating_sub(shared.last_request_ms.load(Ordering::SeqCst));
-                    if all_notified
-                        || Duration::from_millis(idle) >= dist.shutdown_linger
-                        || shared.started.elapsed() >= dist.drain_timeout
-                    {
+                    let left = dist
+                        .shutdown_linger
+                        .saturating_sub(Duration::from_millis(idle))
+                        .min(dist.drain_timeout.saturating_sub(shared.started.elapsed()));
+                    if leases.remote.is_subset(&leases.drained) || left.is_zero() {
                         break;
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    leases = shared
+                        .table_changed
+                        .wait_timeout(leases, left)
+                        .expect("lease lock")
+                        .0;
                 }
             }
             shared.shutdown.store(true, Ordering::SeqCst);
             // Wake held `Lease` requests. The flag is not guarded by the
             // lease lock, so take the lock first: that orders the wake-up
             // after any held request's last look at the flag.
-            drop(shared.table.lock().expect("lease lock"));
+            drop(shared.leases());
             shared.table_changed.notify_all();
+            // Wake the acceptor from its blocking `accept`: any connection
+            // does, and a connect to our own listener lands at once.
+            while TcpStream::connect(wake).is_err() && !acceptor.is_finished() {
+                std::thread::sleep(Duration::from_millis(5));
+            }
             acceptor.join().expect("acceptor thread panicked");
         });
 
@@ -1097,7 +1125,12 @@ impl Coordinator {
         Ok(DistResult {
             campaign,
             workers: books.workers,
-            redeliveries: shared.table.into_inner().expect("lease lock").redeliveries(),
+            redeliveries: shared
+                .leases
+                .into_inner()
+                .expect("lease lock")
+                .table
+                .redeliveries(),
             fallback_used: shared.fallback_used.load(Ordering::SeqCst),
             resume,
             verdicts: books.verdicts,

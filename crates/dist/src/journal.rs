@@ -24,7 +24,11 @@
 //! ```
 //!
 //! A chunk record's `(trial, record)*, harness, restores` is the chunk
-//! body a `Request::Complete` carries, written by the same codec.
+//! body a `Request::Complete` carries, written by the same codec: since
+//! format 2, a record whose output repeats an earlier record's in the
+//! same chunk refers back to it instead of carrying it (see
+//! [`crate::protocol`]). A journal of another format version is refused
+//! with an error naming both, never truncated.
 //!
 //! All integers are little-endian ([`certa_fault::wire`]). The first
 //! record is always a `Header` pinning the campaign's identity; every
@@ -75,7 +79,11 @@ use crate::protocol::{decode_chunk_body, encode_chunk_body};
 const MAGIC: &[u8; 8] = b"CERTAWAL";
 
 /// On-disk format version (bump on any record-format change).
-const FORMAT_VERSION: u32 = 1;
+///
+/// Version history: 1 = initial format; 2 = a chunk record's body writes
+/// an output repeated within it as a back-reference to its first entry
+/// (the chunk-body codec of protocol v4).
+const FORMAT_VERSION: u32 = 2;
 
 const TAG_HEADER: u8 = 0;
 const TAG_EPOCH: u8 = 1;
@@ -358,7 +366,7 @@ impl Journal {
             );
             if version != FORMAT_VERSION {
                 return Err(JournalError::NotAJournal(format!(
-                    "format version {version} != {FORMAT_VERSION}"
+                    "format version {version}; this build reads format {FORMAT_VERSION}"
                 )));
             }
             recovery = Self::recover(&bytes, identity)?;
@@ -781,6 +789,32 @@ mod tests {
             Journal::open(&path, &other.identity()),
             Err(JournalError::Identity(_))
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_format_1_journal_is_refused_naming_both_versions() {
+        let fx = Fixture::new();
+        let path = temp_path("format1");
+        let (mut journal, _) = Journal::open(&path, &fx.identity()).expect("open");
+        journal.append_chunk(&chunk_record(0, &[0, 1])).expect("append");
+        drop(journal);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        match Journal::open(&path, &fx.identity()) {
+            Err(err @ JournalError::NotAJournal(_)) => {
+                let text = err.to_string();
+                assert!(
+                    text.contains("format version 1")
+                        && text.contains(&format!("format {FORMAT_VERSION}")),
+                    "{text}"
+                );
+            }
+            other => panic!("expected NotAJournal, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "never truncated");
         std::fs::remove_file(&path).ok();
     }
 

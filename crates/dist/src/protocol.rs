@@ -1,7 +1,8 @@
 //! Wire protocol between coordinator and workers.
 //!
-//! Transport: one TCP connection per worker command stream (plus
-//! short-lived connections for heartbeats), carrying checksummed,
+//! Transport: two TCP connections per worker — the main connection for
+//! `Hello` and `Lease`, the completion connection for `Complete` — plus
+//! short-lived connections for heartbeats, carrying checksummed,
 //! sequence-numbered frames (see [`FrameCodec`]) capped at
 //! [`MAX_FRAME_BYTES`]. Payloads are encoded with the hand-rolled
 //! bincode-style format of [`certa_fault::wire`]; every message starts
@@ -20,10 +21,27 @@
 //!   | <-- Grant{lease,chunk,ep,.} ------------- |    (or Wait / Drained / Reject)
 //!   | -- Heartbeat{lease,ep} ----------------->  | renew expiry  (own connection)
 //!   | -- Complete{lease,ep,recs} ------------->  | accept (fresh) or drop (stale)
-//!   | <-- Ack{accepted,ep} -------------------- |
+//!   | <-- Ack{accepted,ep} -------------------- |    (completion connection)
 //! ```
 //!
-//! ## Frame format (v3)
+//! A worker's `Complete` travels on its completion connection while its
+//! main connection leases and runs the next chunk; the coordinator serves
+//! any request on any connection. Each connection stays strictly
+//! request/response, so no connection ever has two frames in flight.
+//!
+//! ## Chunk body (v4)
+//!
+//! A `Complete` carries its chunk's records and counter deltas as one
+//! body, the same bytes the journal's chunk record holds. Since v4 the
+//! body carries each distinct output once: a completed record whose
+//! output equals an earlier record's in the same body is written without
+//! it, as a back-reference to the first entry carrying it; every other
+//! record is written as [`certa_fault::wire::encode_trial_record`]'s
+//! bytes. The body decodes on its own, and a back-reference to itself, to
+//! a later or missing entry, or to an entry without output is a
+//! [`WireError`].
+//!
+//! ## Frame format (v3, unchanged in v4)
 //!
 //! ```text
 //! frame := u32 payload-len ++ u64 seq ++ u64 fnv1a-64(seq ++ payload) ++ payload
@@ -72,6 +90,7 @@
 //! without the fence a chunk executed against the dead incarnation could
 //! collide with a live lease id and double-merge after recovery.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::io::{Read, Write};
 
 use certa_fault::wire::{
@@ -79,7 +98,9 @@ use certa_fault::wire::{
     encode_campaign_config, encode_harness_stats, encode_restore_stats, encode_trial_record,
     ByteReader, ByteWriter, WireError,
 };
-use certa_fault::{CampaignConfig, HarnessStats, RestoreStats, TrialRecord};
+use certa_fault::{
+    CampaignConfig, HarnessStats, RestoreStats, TrialRecord, TrialResult, TrialStatus,
+};
 use certa_isa::{fnv1a, fnv1a_with};
 
 /// Protocol version; a [`Request::Hello`] with any other version is
@@ -89,8 +110,10 @@ use certa_isa::{fnv1a, fnv1a_with};
 /// (`Welcome`/`Grant`/`Ack` carry the coordinator epoch,
 /// `Heartbeat`/`Complete` echo it); 3 = hardened framing (per-frame
 /// FNV-1a checksum + sequence number, shared-secret challenge/response
-/// in `Hello`/`Welcome`).
-pub const PROTOCOL_VERSION: u32 = 3;
+/// in `Hello`/`Welcome`); 4 = a `Complete` body carries each distinct
+/// output once, later records with the same output referring back to
+/// the first (see [`Request::Complete`]).
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Upper bound on one frame's payload. Generous — the largest real frame
 /// is a [`Request::Complete`] carrying one chunk's trial records — but
@@ -365,7 +388,9 @@ pub enum Request {
         /// stamped with another epoch is rejected as stale and counted,
         /// never merged.
         epoch: u64,
-        /// `(trial id, record)` pairs, one per trial of the chunk.
+        /// `(trial id, record)` pairs, one per trial of the chunk. On the
+        /// wire, a record whose output repeats an earlier one's refers
+        /// back to it (see the module docs).
         records: Vec<(u32, TrialRecord)>,
         /// Harness-counter delta attributable to this chunk.
         harness: HarnessStats,
@@ -462,9 +487,25 @@ const DECODE_PREALLOC_CAP: usize = 4096;
 /// the harness and restore counter deltas running them added.
 pub(crate) type ChunkBody = (Vec<(u32, TrialRecord)>, HarnessStats, RestoreStats);
 
-/// Encodes a chunk's results as `u32 count ++ (u32 trial ++ record)* ++
-/// harness ++ restores`: the body of both [`Request::Complete`] and the
-/// journal's chunk record.
+/// Entry form of a record written with its own bytes.
+const ENTRY_OWN: u8 = 0;
+/// Entry form of a record whose output is an earlier entry's.
+const ENTRY_BACK_REF: u8 = 1;
+
+/// Encodes a chunk's results, the body of both [`Request::Complete`] and
+/// the journal's chunk record:
+///
+/// ```text
+/// body  := u32 count ++ entry* ++ harness ++ restores
+/// entry := u32 trial ++ u8 0 ++ record
+///        | u32 trial ++ u8 1 ++ u32 earlier ++ record-without-output
+/// ```
+///
+/// A completed record whose output equals an earlier entry's is written
+/// without it, as the index of the first entry carrying that output. Most
+/// fault trials reproduce the golden output, so a body holds each distinct
+/// output once, and it still decodes on its own: neither the wire nor
+/// journal replay needs the golden run.
 pub(crate) fn encode_chunk_body(
     w: &mut ByteWriter,
     records: &[(u32, TrialRecord)],
@@ -472,21 +513,77 @@ pub(crate) fn encode_chunk_body(
     restores: &RestoreStats,
 ) {
     w.u32(u32::try_from(records.len()).expect("chunk fits in u32"));
-    for (trial, record) in records {
+    let mut first_with: HashMap<&[u8], u32> = HashMap::new();
+    for (entry, (trial, record)) in (0u32..).zip(records) {
         w.u32(*trial);
+        if let TrialStatus::Completed(
+            result @ TrialResult {
+                output: Some(output),
+                ..
+            },
+        ) = &record.status
+        {
+            match first_with.entry(output) {
+                Entry::Occupied(first) => {
+                    w.u8(ENTRY_BACK_REF);
+                    w.u32(*first.get());
+                    let without_output = TrialRecord {
+                        status: TrialStatus::Completed(TrialResult {
+                            output: None,
+                            ..*result
+                        }),
+                        retries: record.retries,
+                    };
+                    encode_trial_record(w, &without_output);
+                    continue;
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(entry);
+                }
+            }
+        }
+        w.u8(ENTRY_OWN);
         encode_trial_record(w, record);
     }
     encode_harness_stats(w, harness);
     encode_restore_stats(w, restores);
 }
 
-/// Decodes what [`encode_chunk_body`] wrote.
+/// Decodes what [`encode_chunk_body`] wrote. A back-reference must name
+/// an earlier entry that has an output, and the referring record must be
+/// a completed one written without its own.
 pub(crate) fn decode_chunk_body(r: &mut ByteReader<'_>) -> Result<ChunkBody, WireError> {
     let count = r.u32()? as usize;
-    let mut records = Vec::with_capacity(count.min(DECODE_PREALLOC_CAP));
+    let mut records: Vec<(u32, TrialRecord)> = Vec::with_capacity(count.min(DECODE_PREALLOC_CAP));
     for _ in 0..count {
         let trial = r.u32()?;
-        records.push((trial, decode_trial_record(r)?));
+        let record = match r.u8()? {
+            ENTRY_OWN => decode_trial_record(r)?,
+            ENTRY_BACK_REF => {
+                // Every entry decoded so far is earlier; the entry itself,
+                // later ones and anything past the count are not there yet.
+                let earlier = records
+                    .get(r.u32()? as usize)
+                    .ok_or(WireError::Malformed("back-reference to no earlier entry"))?;
+                let output = earlier
+                    .1
+                    .result()
+                    .and_then(|result| result.output.clone())
+                    .ok_or(WireError::Malformed(
+                        "back-reference to an entry without output",
+                    ))?;
+                let mut record = decode_trial_record(r)?;
+                match &mut record.status {
+                    TrialStatus::Completed(result) if result.output.is_none() => {
+                        result.output = Some(output);
+                    }
+                    _ => return Err(WireError::Malformed("back-referring entry")),
+                }
+                record
+            }
+            _ => return Err(WireError::Malformed("chunk entry form")),
+        };
+        records.push((trial, record));
     }
     Ok((records, decode_harness_stats(r)?, decode_restore_stats(r)?))
 }

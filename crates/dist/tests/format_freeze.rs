@@ -1,14 +1,15 @@
 //! Format freeze for a chunk's results: the bytes one fixed
-//! `Request::Complete` takes on the wire (protocol v3) and one fixed
-//! chunk record takes in the write-ahead journal (format 1).
+//! `Request::Complete` takes on the wire (protocol v4) and one fixed
+//! chunk record takes in the write-ahead journal (format 2).
 //!
-//! The hex literals below were produced by the encoders of protocol v3
-//! and journal format 1. Any change to either encoding fails here, so a
+//! The hex literals below were produced by the encoders of protocol v4
+//! and journal format 2. Any change to either encoding fails here, so a
 //! refactor of the codecs cannot move a byte without also bumping
 //! `PROTOCOL_VERSION` or the journal's format version (and updating
 //! these fixtures on purpose). Each test checks both directions: the
 //! encoder produces the frozen bytes, and the decoder reads them back
-//! into the same values.
+//! into the same values. The fixture's third record repeats the first
+//! one's output, so the back-reference form is frozen too.
 
 use std::path::PathBuf;
 
@@ -23,26 +24,30 @@ use certa_sim::Outcome;
 
 /// The frozen `Request::Complete` payload (frame header excluded).
 const COMPLETE_HEX: &str = concat!(
-    "0303000000110000000000000001000000020000000000000002000000070000",
-    "0000000104000000deadbeefd204000000000000020000000100000009000000",
-    "0202000000010000000000000002000000000000000300000000000000040000",
-    "0000000000050000000000000006000000000000000700000000000000080000",
-    "00000000000900000000000000",
+    "0303000000110000000000000001000000020000000000000003000000070000",
+    "000000000104000000deadbeefd2040000000000000200000001000000090000",
+    "00000202000000050000000100000000000000e7030000000000000300000000",
+    "0000000100000000000000020000000000000003000000000000000400000000",
+    "0000000500000000000000060000000000000007000000000000000800000000",
+    "0000000900000000000000",
 );
 
 /// The frozen journal chunk record, framed as on disk: `u32` payload
 /// length, `u64` FNV-1a checksum, payload.
 const JOURNAL_CHUNK_HEX: &str = concat!(
-    "d1000000b93d78b452cd308c0201000000020000000700000000000104000000",
-    "deadbeefd2040000000000000200000001000000090000000202000000010000",
-    "0000000000020000000000000003000000000000000400000000000000050000",
-    "0000000000060000000000000007000000000000000800000000000000090000",
-    "0000000000010000000000000000000000000000000000000000000000010000",
-    "00000000000b000000000000000c000000000000000d000000000000000e0000",
-    "00000000000f0000000000000010000000000000001100000000000000",
+    "ef000000700d6fd8b6ee39e40201000000030000000700000000000001040000",
+    "00deadbeefd20400000000000002000000010000000900000000020200000005",
+    "0000000100000000000000e70300000000000003000000000000000100000000",
+    "0000000200000000000000030000000000000004000000000000000500000000",
+    "0000000600000000000000070000000000000008000000000000000900000000",
+    "0000000200000000000000000000000000000000000000000000000100000000",
+    "0000000b000000000000000c000000000000000d000000000000000e00000000",
+    "0000000f0000000000000010000000000000001100000000000000",
 );
 
-/// A halted trial with output and a retried-out `HarnessError` trial.
+/// A halted trial with output, a retried-out `HarnessError` trial, and a
+/// halted trial whose output repeats the first one's (written as a
+/// back-reference to entry 0).
 fn records() -> Vec<(u32, TrialRecord)> {
     vec![
         (
@@ -62,6 +67,18 @@ fn records() -> Vec<(u32, TrialRecord)> {
             TrialRecord {
                 status: TrialStatus::HarnessError(HarnessFailure::Timeout),
                 retries: 2,
+            },
+        ),
+        (
+            5,
+            TrialRecord {
+                status: TrialStatus::Completed(TrialResult {
+                    outcome: Outcome::Halted,
+                    output: Some(vec![0xde, 0xad, 0xbe, 0xef]),
+                    instructions: 999,
+                    injected: 3,
+                }),
+                retries: 0,
             },
         ),
     ]
@@ -138,7 +155,7 @@ fn unhex(text: &str) -> Vec<u8> {
 #[test]
 fn complete_request_bytes_are_frozen() {
     assert_eq!(
-        PROTOCOL_VERSION, 3,
+        PROTOCOL_VERSION, 4,
         "a new protocol version needs new fixtures"
     );
     assert_eq!(hex(&complete().encode()), COMPLETE_HEX);
@@ -176,11 +193,11 @@ impl Plan {
             chunks: vec![
                 TrialChunk {
                     id: 0,
-                    trials: vec![0, 1, 2, 3, 4, 5, 6, 8],
+                    trials: vec![0, 1, 2, 3, 4, 6, 8],
                 },
                 TrialChunk {
                     id: 1,
-                    trials: vec![7, 9],
+                    trials: vec![5, 7, 9],
                 },
             ],
         }

@@ -4,8 +4,9 @@
 //! that losing a worker mid-lease changes *nothing* about the final
 //! per-trial record table.
 
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
 use certa_asm::Asm;
@@ -590,6 +591,201 @@ fn workers_and_replay_agree_with_the_books() {
         first.campaign.harness_stats
     );
     assert_eq!(replayed.verdicts, first.verdicts);
+}
+
+/// A loopback proxy in front of `upstream`: it forwards every connection
+/// byte for byte, except the first one whose first frame is a `Complete`
+/// (a worker's completion connection), which it cuts before that frame
+/// reaches the coordinator. Serves until `stop` is set and a connection
+/// wakes it; returns whether it cut one.
+fn cutting_proxy(listener: TcpListener, upstream: SocketAddr, stop: &AtomicBool) -> bool {
+    use certa_dist::protocol::{Request, FRAME_HEADER_BYTES};
+
+    let cut = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for client in listener.incoming() {
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+            let client = client.expect("accept");
+            let server = TcpStream::connect(upstream).expect("connect upstream");
+            let mut from_server = server.try_clone().expect("clone");
+            let mut to_client = client.try_clone().expect("clone");
+            scope.spawn(move || {
+                let _ = std::io::copy(&mut from_server, &mut to_client);
+                let _ = to_client.shutdown(Shutdown::Both);
+            });
+            let cut = &cut;
+            scope.spawn(move || {
+                let (mut client, mut server) = (client, server);
+                let mut header = [0u8; FRAME_HEADER_BYTES];
+                if client.read_exact(&mut header).is_ok() {
+                    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+                    let mut payload = vec![0u8; len as usize];
+                    client.read_exact(&mut payload).expect("first frame");
+                    let complete =
+                        matches!(Request::decode(&payload), Ok(Request::Complete { .. }));
+                    // Forward everything but the first `Complete`'s connection.
+                    if !complete || cut.swap(true, Ordering::SeqCst) {
+                        let _ = server.write_all(&header);
+                        let _ = server.write_all(&payload);
+                        let _ = std::io::copy(&mut client, &mut server);
+                    }
+                }
+                let _ = client.shutdown(Shutdown::Both);
+                let _ = server.shutdown(Shutdown::Both);
+            });
+        }
+    });
+    cut.into_inner()
+}
+
+/// A lost completion connection is a connection loss like any other: the
+/// worker re-attaches and re-sends the `Complete` that was in flight. The
+/// proxy cuts the worker's first completion connection before its first
+/// `Complete` reaches the coordinator, so only the re-send can complete
+/// that chunk short of its 5-s lease expiring.
+#[test]
+fn lost_completion_connection_resends_the_complete_in_flight() {
+    let trials = 48;
+    let target = SumTarget::new();
+    let tags = analyze(target.program());
+    let cfg = config(trials);
+    let inline = run_campaign(&target, &tags, &cfg);
+    let session = CampaignSession::new(&target, &tags, &cfg);
+    let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
+    let upstream = coordinator.local_addr().expect("addr");
+    let proxy = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let proxy_addr = proxy.local_addr().expect("proxy addr");
+    let dist = DistConfig {
+        fallback_inline: false,
+        chunk_parts: 6,
+        drain_timeout: Duration::from_secs(120),
+        ..DistConfig::default()
+    };
+    // No heartbeat connection gets between the proxy and the cut.
+    let opts = WorkerOptions {
+        heartbeat_interval: Duration::from_secs(60),
+        ..fast_worker("courier", 51)
+    };
+    let stop = AtomicBool::new(false);
+    let (result, report, cut) = std::thread::scope(|scope| {
+        let proxy = scope.spawn(|| cutting_proxy(proxy, upstream, &stop));
+        let worker = scope.spawn(|| run_worker(proxy_addr, &resolve_sum, &opts));
+        let result = coordinator
+            .run(&session, "sum", &dist)
+            .expect("distributed campaign");
+        let report = worker.join().unwrap().expect("worker finishes clean");
+        stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(proxy_addr);
+        (result, report, proxy.join().unwrap())
+    });
+
+    assert!(cut, "the proxy cut a completion connection with a Complete in flight");
+    assert_eq!(result.campaign.trials, inline.trials, "per-trial records differ");
+    assert!(report.reconnects >= 1, "the lost connection was re-attached");
+    assert_eq!(
+        result.redeliveries, 0,
+        "the cut chunk was completed by the re-send, not by its lease expiring"
+    );
+    assert_eq!(
+        report.chunks_completed + report.stale_acks,
+        report.leases,
+        "every lease the worker ran is accounted for: {report:?}"
+    );
+    assert_eq!(report.stale_epoch_drops, 0);
+}
+
+/// A worker whose `Complete` in flight is answered by an `Ack` carrying
+/// another epoch drops that payload, counts it in `stale_epoch_drops`, and
+/// re-attaches. A scripted coordinator plays the restart over the raw
+/// protocol: epoch 1 until that `Ack`, epoch 2 after it.
+#[test]
+fn in_flight_complete_fenced_by_another_epochs_ack_is_dropped_and_counted() {
+    use certa_dist::protocol::{FrameCodec, JobSpec, Request, Response};
+
+    let trials = 8;
+    let target = SumTarget::new();
+    let tags = analyze(target.program());
+    let cfg = config(trials);
+    let fingerprint = CampaignSession::new(&target, &tags, &cfg).fingerprint();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    // No heartbeat connection gets between the scripted accepts.
+    let opts = WorkerOptions {
+        heartbeat_interval: Duration::from_secs(60),
+        ..fast_worker("fenced", 41)
+    };
+    let accept = || (listener.accept().expect("accept").0, FrameCodec::new());
+    // One exchange: reads a request on `conn` and writes `answer`'s reply.
+    let exchange = |conn: &mut (TcpStream, FrameCodec), answer: &dyn Fn(Request) -> Response| {
+        let (stream, codec) = conn;
+        let payload = codec.read_frame(stream).expect("request");
+        let request = Request::decode(&payload).expect("decodes");
+        codec
+            .write_frame(stream, &answer(request).encode())
+            .expect("reply");
+    };
+    let welcome = |epoch: u64| {
+        let cfg = cfg.clone();
+        move |request: Request| match request {
+            Request::Hello { .. } => Response::Welcome {
+                worker: 0,
+                job: JobSpec {
+                    workload: "sum".into(),
+                    config: cfg.clone(),
+                    fingerprint,
+                    worker_threads: 1,
+                },
+                epoch,
+                proof: 0,
+            },
+            other => panic!("expected Hello, got {other:?}"),
+        }
+    };
+    let drained = |request: Request| match request {
+        Request::Lease { .. } => Response::Drained,
+        other => panic!("expected Lease, got {other:?}"),
+    };
+
+    let report = std::thread::scope(|scope| {
+        let worker = scope.spawn(|| run_worker(addr, &resolve_sum, &opts));
+        let mut main = accept();
+        exchange(&mut main, &welcome(1));
+        exchange(&mut main, &|request| match request {
+            Request::Lease { .. } => Response::Grant {
+                lease: 1,
+                chunk: 0,
+                trials: (0..trials as u32).collect(),
+                ttl_ms: 60_000,
+                epoch: 1,
+            },
+            other => panic!("expected Lease, got {other:?}"),
+        });
+        // The chunk's `Complete` comes on the completion connection; the
+        // coordinator "restarted" under epoch 2 in the meantime.
+        let mut completion = accept();
+        exchange(&mut completion, &|request| match request {
+            Request::Complete { epoch: 1, .. } => Response::Ack {
+                accepted: false,
+                epoch: 2,
+            },
+            other => panic!("expected an epoch-1 Complete, got {other:?}"),
+        });
+        exchange(&mut main, &drained);
+        // Fenced, the worker re-attaches and hears the campaign is over.
+        let mut main = accept();
+        exchange(&mut main, &welcome(2));
+        exchange(&mut main, &drained);
+        worker.join().unwrap().expect("worker finishes clean")
+    });
+
+    assert_eq!(report.leases, 1);
+    assert_eq!(report.stale_epoch_drops, 1, "the fenced Complete is counted");
+    assert_eq!(report.chunks_completed, 0);
+    assert_eq!(report.stale_acks, 0);
+    assert_eq!(report.reconnects, 1, "the fence made the worker re-attach");
+    assert_eq!(report.session_builds, 1);
 }
 
 /// Satellite: a completion stamped with a dead incarnation's epoch is

@@ -13,18 +13,58 @@
 //!    [`FrameCodec::read_frame`].
 //! 4. Forged length prefixes and element counts produce bounded
 //!    allocations and typed errors, not OOM.
+//!
+//! Beside them: a `Complete` body that writes a repeated output as a
+//! back-reference round-trips exactly, and a forged back-reference is a
+//! typed error.
 
 use std::io::Cursor;
 
-use certa_dist::protocol::{Request, Response, JobSpec, MAX_FRAME_BYTES};
+use certa_dist::protocol::{Request, Response, JobSpec, MAX_FRAME_BYTES, PROTOCOL_VERSION};
 use certa_dist::{FrameCodec, FrameError};
-use certa_fault::CampaignConfig;
+use certa_fault::wire::{
+    encode_harness_stats, encode_restore_stats, encode_trial_record, ByteWriter,
+};
+use certa_fault::{
+    CampaignConfig, HarnessFailure, HarnessStats, RestoreStats, TrialRecord, TrialResult,
+    TrialStatus,
+};
+use certa_sim::{CrashKind, Outcome};
 use proptest::prelude::*;
 
+fn halted(output: Option<Vec<u8>>, instructions: u64) -> TrialRecord {
+    TrialRecord {
+        status: TrialStatus::Completed(TrialResult {
+            outcome: Outcome::Halted,
+            output,
+            instructions,
+            injected: 1,
+        }),
+        retries: 0,
+    }
+}
+
+/// A halted record with output, a repeat of it (the back-reference form)
+/// and a `HarnessError`.
+fn sample_records(name: &[u8], a: u64) -> Vec<(u32, TrialRecord)> {
+    vec![
+        (0, halted(Some(name.to_vec()), a)),
+        (1, halted(Some(name.to_vec()), a ^ 1)),
+        (
+            2,
+            TrialRecord {
+                status: TrialStatus::HarnessError(HarnessFailure::Panic),
+                retries: 3,
+            },
+        ),
+    ]
+}
+
 fn sample_requests(name: String, a: u64, b: u64, small: u32) -> Vec<Request> {
+    let records = sample_records(name.as_bytes(), a);
     vec![
         Request::Hello {
-            version: 3,
+            version: PROTOCOL_VERSION,
             name,
             token: a,
             challenge: b,
@@ -43,7 +83,7 @@ fn sample_requests(name: String, a: u64, b: u64, small: u32) -> Vec<Request> {
             lease: a,
             chunk: small ^ 1,
             epoch: b,
-            records: Vec::new(),
+            records,
             harness: Default::default(),
             restores: Default::default(),
         },
@@ -234,5 +274,125 @@ proptest! {
         // tag(1) + lease(8) + chunk(4) = 13.
         payload[13..17].copy_from_slice(&count.to_le_bytes());
         prop_assert!(Response::decode(&payload).is_err());
+    }
+}
+
+/// A `Complete` payload of three entries: `first`, then a halted record
+/// written as a back-reference to entry `earlier` (carrying `own` as its
+/// own output, which a well-formed back-reference never does), then a
+/// plain halted record. Laid out by hand, the way a forger would.
+fn forged_complete(first: &TrialRecord, earlier: u32, own: Option<Vec<u8>>) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u8(3); // Complete
+    w.u32(1); // worker
+    w.u64(2); // lease
+    w.u32(3); // chunk
+    w.u64(4); // epoch
+    w.u32(3); // entries
+    w.u32(10);
+    w.u8(0);
+    encode_trial_record(&mut w, first);
+    w.u32(11);
+    w.u8(1);
+    w.u32(earlier);
+    encode_trial_record(&mut w, &halted(own, 7));
+    w.u32(12);
+    w.u8(0);
+    encode_trial_record(&mut w, &halted(Some(vec![9]), 8));
+    encode_harness_stats(&mut w, &HarnessStats::default());
+    encode_restore_stats(&mut w, &RestoreStats::default());
+    w.finish()
+}
+
+#[test]
+fn forged_back_references_are_typed_errors() {
+    let with_output = halted(Some(vec![1, 2, 3]), 5);
+    match Request::decode(&forged_complete(&with_output, 0, None)) {
+        Ok(Request::Complete { records, .. }) => {
+            assert_eq!(
+                records[1].1,
+                halted(Some(vec![1, 2, 3]), 7),
+                "the forger lays out a valid body"
+            );
+        }
+        other => panic!("expected a Complete, got {other:?}"),
+    }
+    let crashed = TrialRecord {
+        status: TrialStatus::Completed(TrialResult {
+            outcome: Outcome::Crashed(CrashKind::PcOutOfRange { pc: 99 }),
+            output: None,
+            instructions: 5,
+            injected: 1,
+        }),
+        retries: 0,
+    };
+    let harness_error = TrialRecord {
+        status: TrialStatus::HarnessError(HarnessFailure::Timeout),
+        retries: 1,
+    };
+    let forged = [
+        ("to itself", forged_complete(&with_output, 1, None)),
+        ("to a later entry", forged_complete(&with_output, 2, None)),
+        ("past the count", forged_complete(&with_output, 3, None)),
+        ("far out of range", forged_complete(&with_output, u32::MAX, None)),
+        ("to a record without output", forged_complete(&crashed, 0, None)),
+        ("to a harness error", forged_complete(&harness_error, 0, None)),
+        ("with an output of its own", forged_complete(&with_output, 0, Some(vec![4]))),
+    ];
+    for (what, payload) in forged {
+        assert!(
+            Request::decode(&payload).is_err(),
+            "a back-reference {what} decoded"
+        );
+    }
+}
+
+proptest! {
+    /// Bodies whose records repeat outputs (drawn from three, one of them
+    /// empty), mixed with output-less and `HarnessError` records,
+    /// round-trip exactly.
+    #[test]
+    fn bodies_with_repeated_outputs_round_trip(
+        bytes in prop::collection::vec(any::<u8>(), 0..64),
+        kinds in prop::collection::vec((0u8..6, any::<u32>()), 0..48),
+    ) {
+        let pool = [bytes.clone(), [bytes.as_slice(), &[0xa5]].concat(), Vec::new()];
+        let records: Vec<(u32, TrialRecord)> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, x))| {
+                let record = match kind {
+                    0..=2 => halted(Some(pool[kind as usize].clone()), u64::from(x)),
+                    3 => halted(None, u64::from(x)),
+                    4 => TrialRecord {
+                        status: TrialStatus::Completed(TrialResult {
+                            outcome: Outcome::InfiniteRun,
+                            output: None,
+                            instructions: u64::from(x),
+                            injected: x % 5,
+                        }),
+                        retries: x % 3,
+                    },
+                    _ => TrialRecord {
+                        status: TrialStatus::HarnessError(HarnessFailure::Panic),
+                        retries: x,
+                    },
+                };
+                (i as u32 * 3, record)
+            })
+            .collect();
+        let complete = Request::Complete {
+            worker: 1,
+            lease: 2,
+            chunk: 3,
+            epoch: 4,
+            records: records.clone(),
+            harness: HarnessStats::default(),
+            restores: RestoreStats::default(),
+        };
+        match Request::decode(&complete.encode()) {
+            Ok(Request::Complete { records: back, .. }) => prop_assert_eq!(back, records),
+            other => prop_assert!(false, "expected a Complete, got {other:?}"),
+        }
     }
 }
