@@ -5,13 +5,10 @@
 //! Threading model: the caller's thread drives lease expiry, inline
 //! fallback, and the drain condition; one scoped acceptor thread blocks in
 //! `accept` on the listener; and each connection gets a scoped handler
-//! thread running a trivial request/response loop. A worker opens two
-//! (its main connection and its completion connection, see
-//! [`crate::run_worker`]), plus short-lived heartbeat connections; every
-//! handler serves any request. All state the handlers touch lives in one
-//! `Shared` struct: atomics plus three mutexes, each held briefly and
-//! never while another is taken, nor across trial execution or socket
-//! I/O.
+//! thread running a trivial request/response loop. All state the
+//! handlers touch lives in one `Shared` struct: atomics plus three
+//! mutexes, each held briefly and never while another is taken, nor
+//! across trial execution or socket I/O.
 //!
 //! * The **leases**: the lease table and the remote workers that said
 //!   `Hello` or were told `Drained` (or whose connection closed), with the
@@ -23,8 +20,8 @@
 //!
 //! Nothing sleeps between the merge that drains the table and `run*`'s
 //! return: that merge wakes the drive loop and every held `Lease`, each
-//! `Drained` answer or closed connection wakes the linger, and shutdown
-//! wakes the acceptor with a connection to its own listener.
+//! `Drained` answer wakes the linger, and shutdown wakes the acceptor
+//! with a connection to its own listener.
 //!
 //! A chunk's results take one path. A fresh delivery, whether from a
 //! remote worker or the inline fallback, is journaled and synced under
@@ -341,8 +338,7 @@ struct Shared<'s, 'a> {
     /// answer may have changed: a Fresh completion (which may also drain
     /// the table), an expiry that re-queued a chunk, and shutdown. The
     /// drive loop waits on it too, and so does the post-drain linger,
-    /// which it also wakes when a remote worker is answered `Drained` or
-    /// its connection closes.
+    /// which it also wakes when a remote worker is answered `Drained`.
     table_changed: Condvar,
     /// The write-ahead journal; a Fresh delta is appended (and synced)
     /// under this lock *before* it is merged into the books.
@@ -748,11 +744,13 @@ fn handle_connection(shared: &Shared<'_, '_>, mut stream: NetStream) {
     shared
         .duplicate_frames
         .fetch_add(codec.duplicates_dropped, Ordering::Relaxed);
-    // A closed connection can never be told `Drained`; release the
-    // post-drain linger from waiting on the workers it carried.
+    // A closed connection can never be told `Drained`, so the post-drain
+    // linger stops waiting on the workers it carried. It is not woken for
+    // that: a worker whose connection dropped at the end re-attaches at
+    // once, and ending the linger on the close would strand its new
+    // `Hello` against a finished coordinator.
     if !helloed.is_empty() {
         shared.leases().drained.extend(helloed);
-        shared.table_changed.notify_all();
     }
 }
 
@@ -1051,9 +1049,8 @@ impl Coordinator {
             // Keep serving until every `Hello`'d worker has either been
             // answered `Drained` or dropped its connection, bounded by a
             // no-incoming-request window for workers that died without
-            // closing cleanly (SIGKILL leaves the peer OS to close the
-            // socket, which still unblocks us via the connection path). Each
-            // `Drained` answer and each closed connection wakes the wait.
+            // closing cleanly or whose connection closed during the wait
+            // (see `handle_connection`). Each `Drained` answer wakes it.
             if drain_error.is_none() {
                 shared.last_request_ms.store(shared.now_ms(), Ordering::SeqCst);
                 let mut leases = shared.leases();

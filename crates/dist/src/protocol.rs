@@ -1,8 +1,7 @@
 //! Wire protocol between coordinator and workers.
 //!
-//! Transport: two TCP connections per worker — the main connection for
-//! `Hello` and `Lease`, the completion connection for `Complete` — plus
-//! short-lived connections for heartbeats, carrying checksummed,
+//! Transport: one TCP connection per worker command stream (plus
+//! short-lived connections for heartbeats), carrying checksummed,
 //! sequence-numbered frames (see [`FrameCodec`]) capped at
 //! [`MAX_FRAME_BYTES`]. Payloads are encoded with the hand-rolled
 //! bincode-style format of [`certa_fault::wire`]; every message starts
@@ -21,13 +20,8 @@
 //!   | <-- Grant{lease,chunk,ep,.} ------------- |    (or Wait / Drained / Reject)
 //!   | -- Heartbeat{lease,ep} ----------------->  | renew expiry  (own connection)
 //!   | -- Complete{lease,ep,recs} ------------->  | accept (fresh) or drop (stale)
-//!   | <-- Ack{accepted,ep} -------------------- |    (completion connection)
+//!   | <-- Ack{accepted,ep} -------------------- |
 //! ```
-//!
-//! A worker's `Complete` travels on its completion connection while its
-//! main connection leases and runs the next chunk; the coordinator serves
-//! any request on any connection. Each connection stays strictly
-//! request/response, so no connection ever has two frames in flight.
 //!
 //! ## Chunk body (v4)
 //!
@@ -39,7 +33,9 @@
 //! record is written as [`certa_fault::wire::encode_trial_record`]'s
 //! bytes. The body decodes on its own, and a back-reference to itself, to
 //! a later or missing entry, or to an entry without output is a
-//! [`WireError`].
+//! [`WireError`]. So is a body whose outputs, copies included, total more
+//! than [`MAX_FRAME_BYTES`]: decoding never yields more output bytes than
+//! one frame could carry written out.
 //!
 //! ## Frame format (v3, unchanged in v4)
 //!
@@ -502,10 +498,11 @@ const ENTRY_BACK_REF: u8 = 1;
 /// ```
 ///
 /// A completed record whose output equals an earlier entry's is written
-/// without it, as the index of the first entry carrying that output. Most
-/// fault trials reproduce the golden output, so a body holds each distinct
-/// output once, and it still decodes on its own: neither the wire nor
-/// journal replay needs the golden run.
+/// without it, as the index of the first entry carrying that output, so
+/// a body holds each distinct output once and still decodes on its own:
+/// neither the wire nor journal replay needs the golden run. How much
+/// that saves depends on how often a workload's outputs repeat within a
+/// chunk (see ARCHITECTURE.md, *Wire protocol framing*).
 pub(crate) fn encode_chunk_body(
     w: &mut ByteWriter,
     records: &[(u32, TrialRecord)],
@@ -552,30 +549,51 @@ pub(crate) fn encode_chunk_body(
 /// Decodes what [`encode_chunk_body`] wrote. A back-reference must name
 /// an earlier entry that has an output, and the referring record must be
 /// a completed one written without its own.
+///
+/// The outputs a body decodes to total at most [`MAX_FRAME_BYTES`]: a
+/// body with every output written out had to fit in one frame, so no
+/// honest body is refused, and a forged one cannot turn a small frame
+/// into gigabytes of copies of one output.
 pub(crate) fn decode_chunk_body(r: &mut ByteReader<'_>) -> Result<ChunkBody, WireError> {
     let count = r.u32()? as usize;
     let mut records: Vec<(u32, TrialRecord)> = Vec::with_capacity(count.min(DECODE_PREALLOC_CAP));
+    let mut output_bytes = 0usize;
+    let mut charge = |record: Option<&TrialResult>| {
+        output_bytes += record
+            .and_then(|result| result.output.as_ref())
+            .map_or(0, Vec::len);
+        if output_bytes > MAX_FRAME_BYTES as usize {
+            return Err(WireError::Malformed("chunk outputs exceed MAX_FRAME_BYTES"));
+        }
+        Ok(())
+    };
     for _ in 0..count {
         let trial = r.u32()?;
         let record = match r.u8()? {
-            ENTRY_OWN => decode_trial_record(r)?,
+            ENTRY_OWN => {
+                let record = decode_trial_record(r)?;
+                charge(record.result())?;
+                record
+            }
             ENTRY_BACK_REF => {
                 // Every entry decoded so far is earlier; the entry itself,
                 // later ones and anything past the count are not there yet.
                 let earlier = records
                     .get(r.u32()? as usize)
-                    .ok_or(WireError::Malformed("back-reference to no earlier entry"))?;
-                let output = earlier
+                    .ok_or(WireError::Malformed("back-reference to no earlier entry"))?
                     .1
                     .result()
-                    .and_then(|result| result.output.clone())
+                    .filter(|result| result.output.is_some())
                     .ok_or(WireError::Malformed(
                         "back-reference to an entry without output",
                     ))?;
+                // Charged before the copy is made.
+                charge(Some(earlier))?;
+                let output = earlier.output.clone();
                 let mut record = decode_trial_record(r)?;
                 match &mut record.status {
                     TrialStatus::Completed(result) if result.output.is_none() => {
-                        result.output = Some(output);
+                        result.output = output;
                     }
                     _ => return Err(WireError::Malformed("back-referring entry")),
                 }

@@ -14,30 +14,16 @@
 //! journal do not know which tier ran — only [`WorkerReport::native`]
 //! says.
 //!
-//! ## Threads and connections
-//!
-//! A worker holds two connections to the coordinator. The **main
-//! connection** carries the `Hello` and every `Lease`; the worker's own
-//! thread runs the granted chunk. The **completion connection** carries
-//! `Complete`s: when a chunk finishes, a delivery thread sends its
-//! `Complete` there and waits for the `Ack` while the main thread leases
-//! and runs the next chunk. At most one `Complete` is in flight: the
-//! previous one is settled (its thread joined, its `Ack` counted) before
-//! the next is sent, and before the worker re-attaches or returns. Both
-//! connections are dialed the same way (socket timeouts, chaos), and the
-//! coordinator serves any request on any connection, so the completion
-//! connection needs no handshake of its own.
-//!
 //! Robustness: while a leased chunk runs, a guard thread beats every
 //! [`WorkerOptions::heartbeat_interval`] over short-lived side
 //! connections (so beats never interleave with an in-flight request
 //! frame) and ends the moment the chunk does, so a chunk shorter than the
-//! interval costs neither a beat nor any idle time; the loss of either
-//! connection triggers re-attach (re-connect + re-`Hello`, the
-//! handshake's timeouts capped like a beat's at 5 s) with exponential
-//! backoff plus deterministic jitter; and the [`WorkerSabotage`] hook lets
-//! tests make a worker vanish mid-lease — from the coordinator's point of
-//! view indistinguishable from a SIGKILL.
+//! interval costs neither a beat nor any idle time; connection loss
+//! triggers re-attach (re-connect + re-`Hello`, the handshake's timeouts
+//! capped like a beat's at 5 s) with exponential backoff plus
+//! deterministic jitter; and the [`WorkerSabotage`] hook lets tests make a
+//! worker vanish mid-lease — from the coordinator's point of view
+//! indistinguishable from a SIGKILL.
 //!
 //! ## Surviving a coordinator restart
 //!
@@ -49,10 +35,9 @@
 //! The epoch in the new `Welcome` then disambiguates what the outage
 //! meant:
 //!
-//! * **Same epoch** — the coordinator never died; a connection did. A
-//!   completion that was in flight when a connection dropped (the staged
-//!   `Complete`, with the chunk run after it if that one was waiting to
-//!   go out) is simply re-sent: the coordinator dedups
+//! * **Same epoch** — the coordinator never died; the connection did. A
+//!   completion that was in flight when the connection dropped (the
+//!   staged `Complete`) is simply re-sent: the coordinator dedups
 //!   (`Ack { accepted: false }` = already merged, counted as a stale
 //!   ack).
 //! * **New epoch** — the old incarnation is dead. Its leases and any
@@ -65,7 +50,6 @@
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use certa_core::TagMap;
@@ -109,14 +93,13 @@ pub struct WorkerOptions {
     pub connect_cap: Duration,
     /// Overrides the job's advertised trial-thread count.
     pub threads_override: Option<usize>,
-    /// Read and write timeout on the main connection once attached and on
-    /// the completion connection — how long a worker waits for one
-    /// response (a `Complete`'s `Ack` waits on the coordinator's journal
-    /// sync) before treating the coordinator as gone and re-attaching.
-    /// Generous by default: a starved-but-alive coordinator is much more
-    /// common than a dead one, and a false positive costs a round of
-    /// reconnect backoff. The handshake and heartbeats use it capped at
-    /// 5 s.
+    /// Read and write timeout on the main connection once attached — how
+    /// long a worker waits for one response (a `Complete`'s `Ack` waits
+    /// on the coordinator's journal sync) before treating the coordinator
+    /// as gone and re-attaching. Generous by default: a starved-but-alive
+    /// coordinator is much more common than a dead one, and a false
+    /// positive costs a round of reconnect backoff. The handshake and
+    /// heartbeats use it capped at 5 s.
     pub io_timeout: Duration,
     /// Artificial delay per granted chunk, before running it — lets tests
     /// and benches hold a lease long enough to lose it on purpose.
@@ -131,9 +114,8 @@ pub struct WorkerOptions {
     /// imposter, not a flaky network).
     pub secret: Option<String>,
     /// Wire-fault injection domain for every connection this worker
-    /// opens (main, completion, re-attach, heartbeat). Tests hold the
-    /// [`Arc`] so the injection counters survive a worker that dies of its
-    /// own chaos.
+    /// opens (main, re-attach, heartbeat). Tests hold the [`Arc`] so the
+    /// injection counters survive a worker that dies of its own chaos.
     pub chaos: Option<Arc<Chaos>>,
 }
 
@@ -167,9 +149,7 @@ pub struct WorkerReport {
     pub chunks_completed: u32,
     /// Trials inside those accepted chunks.
     pub trials_completed: u64,
-    /// Completions the coordinator acknowledged as stale duplicates, plus
-    /// one lost with the completion connection after the coordinator
-    /// answered `Drained` (every chunk was complete by then).
+    /// Completions the coordinator acknowledged as stale duplicates.
     pub stale_acks: u32,
     /// Successful re-attaches (re-connect + re-`Hello`) after a
     /// connection loss.
@@ -287,12 +267,11 @@ fn dial(
 /// dropped, which ends the guard at once: the wait is one blocking
 /// `recv_timeout`, so a chunk shorter than `interval` costs no beat and no
 /// idle time. Each heartbeat is a fresh side connection (timeouts capped
-/// by [`SHORT_EXCHANGE_CAP`]), so a beat never waits behind the main or
-/// the completion connection's request. Heartbeat failures are
-/// swallowed: the worst case is a lost lease, which the redelivery
-/// machinery already covers. A socket that cannot take its timeouts is
-/// dropped and the beat skipped — never heartbeat over a socket that
-/// could block forever.
+/// by [`SHORT_EXCHANGE_CAP`]) — the main connection stays free for the
+/// eventual `Complete` frame. Heartbeat failures are swallowed: the worst
+/// case is a lost lease, which the redelivery machinery already covers.
+/// A socket that cannot take its timeouts is dropped and the beat
+/// skipped — never heartbeat over a socket that could block forever.
 fn heartbeat_guard(
     addr: SocketAddr,
     beat: &Request,
@@ -430,7 +409,7 @@ fn attach(
     );
     loop {
         let challenge = challenge_rng.next_u64();
-        let lost = match try_attach(addr, opts, challenge, report) {
+        let retriable = match try_attach(addr, opts, challenge, report) {
             Ok(attached) => {
                 if *connected_before {
                     report.reconnects += 1;
@@ -439,12 +418,16 @@ fn attach(
                 *failures = 0;
                 return Ok(attached);
             }
-            Err(err) if connection_lost(&err, report) => err,
+            Err(DistError::Io(e)) => DistError::Io(e),
+            Err(DistError::Frame(what)) => {
+                report.corrupt_frames += 1;
+                DistError::Frame(what)
+            }
             Err(fatal) => return Err(fatal),
         };
         *failures += 1;
         if *failures >= opts.connect_attempts {
-            return Err(lost);
+            return Err(retriable);
         }
         std::thread::sleep(backoff_delay(
             *failures,
@@ -455,158 +438,77 @@ fn attach(
     }
 }
 
-/// Whether `err` is a connection loss, which re-attach recovers from.
-/// Frame corruption is one, counted in [`WorkerReport::corrupt_frames`].
-fn connection_lost(err: &DistError, report: &mut WorkerReport) -> bool {
-    match err {
-        DistError::Io(_) => true,
-        DistError::Frame(_) => {
-            report.corrupt_frames += 1;
-            true
+/// Delivers the staged `Request::Complete` in `pending` and settles the
+/// `Ack`. The request is built once, *before* the first delivery attempt,
+/// and every attempt sends it by reference, so a connection lost anywhere
+/// in the round trip leaves it re-sendable unchanged. `Ok(None)` =
+/// settled (fresh or stale-duplicate — either way the payload is spent);
+/// `Ok(Some)` = the coordinator fenced us (new epoch): payload dropped and
+/// counted, caller must re-attach. A connection error propagates with
+/// `pending` still intact for the re-attach path to settle.
+fn deliver(
+    channel: &mut Channel,
+    epoch: u64,
+    pending: &mut Option<Request>,
+    report: &mut WorkerReport,
+) -> Result<Option<Served>, DistError> {
+    let staged = pending.as_ref().expect("deliver needs a payload");
+    match channel.roundtrip(staged)? {
+        Response::Ack { accepted: true, .. } => {
+            if let Some(Request::Complete {
+                records,
+                harness,
+                restores,
+                ..
+            }) = pending.take()
+            {
+                report.chunks_completed += 1;
+                report.trials_completed += records.len() as u64;
+                report.harness.merge(&harness);
+                report.restores.merge(&restores);
+            }
+            Ok(None)
         }
-        _ => false,
-    }
-}
-
-/// What one delivery brings back: the completion connection (unless the
-/// dial failed), the `Complete` it carried, and the coordinator's answer
-/// or the error that ended the exchange.
-type Delivery = (Option<Channel>, Request, Result<Response, DistError>);
-
-/// The completion connection: a second connection to the coordinator on
-/// which a delivery thread sends one `Complete` and waits for its `Ack`
-/// while the main connection leases and runs the next chunk. At most one
-/// `Complete` is in flight; it is settled before the next one is sent.
-#[derive(Default)]
-struct Courier {
-    /// The connection while no delivery holds it; dialed by the first
-    /// delivery after each (re-)attach.
-    idle: Option<Channel>,
-    in_flight: Option<JoinHandle<Delivery>>,
-    /// Completions a lost connection left undelivered, oldest first (at
-    /// most the one in flight and the one after it), for the re-attach
-    /// to re-send on the same epoch or drop on a new one.
-    staged: Vec<Request>,
-}
-
-impl Courier {
-    /// Starts delivering `request`. Nothing may be in flight.
-    fn send(&mut self, ctx: &WorkerContext<'_>, request: Request) {
-        assert!(self.in_flight.is_none(), "one Complete in flight at most");
-        let idle = self.idle.take();
-        let (addr, timeout, chaos) = (ctx.addr, ctx.opts.io_timeout, ctx.opts.chaos.clone());
-        self.in_flight = Some(std::thread::spawn(move || {
-            let mut channel = match idle {
-                Some(channel) => channel,
-                None => match dial(addr, timeout, chaos.as_ref()) {
-                    Ok(stream) => Channel::new(stream),
-                    Err(err) => return (None, request, Err(err)),
-                },
-            };
-            let answer = channel.roundtrip(&request);
-            (Some(channel), request, answer)
-        }));
-    }
-
-    /// Waits for the delivery in flight, if any, and settles its answer.
-    /// `Ok(None)` = settled (fresh or stale duplicate — either way the
-    /// payload is spent); `Ok(Some)` = the coordinator fenced us (new
-    /// epoch): payload dropped and counted, the caller must re-attach. A
-    /// lost connection stages the `Complete` first, unchanged, for the
-    /// re-attach path to re-send.
-    fn settle(
-        &mut self,
-        epoch: u64,
-        report: &mut WorkerReport,
-    ) -> Result<Option<Served>, DistError> {
-        let Some(delivery) = self.in_flight.take() else {
-            return Ok(None);
-        };
-        let (channel, request, answer) = delivery.join().expect("delivery thread panicked");
-        let response = match answer {
-            Ok(response) => {
-                self.idle = channel;
-                response
-            }
-            Err(err) => {
-                if let Some(channel) = channel {
-                    channel.retire(report);
-                }
-                self.staged.insert(0, request);
-                return Err(err);
-            }
-        };
-        match response {
-            Response::Ack { accepted: true, .. } => {
-                if let Request::Complete {
-                    records,
-                    harness,
-                    restores,
-                    ..
-                } = request
-                {
-                    report.chunks_completed += 1;
-                    report.trials_completed += records.len() as u64;
-                    report.harness.merge(&harness);
-                    report.restores.merge(&restores);
-                }
+        Response::Ack {
+            accepted: false,
+            epoch: ack_epoch,
+        } => {
+            pending.take();
+            if ack_epoch == epoch {
+                // Duplicate delivery (e.g. our lease expired and someone
+                // else finished the chunk first): already merged once,
+                // harmless by idempotency.
+                report.stale_acks += 1;
                 Ok(None)
+            } else {
+                report.stale_epoch_drops += 1;
+                Ok(Some(Served::Fenced))
             }
-            Response::Ack {
-                accepted: false,
-                epoch: ack_epoch,
-            } => {
-                if ack_epoch == epoch {
-                    // Duplicate delivery (e.g. our lease expired and
-                    // someone else finished the chunk first): already
-                    // merged once, harmless by idempotency.
-                    report.stale_acks += 1;
-                    Ok(None)
-                } else {
-                    report.stale_epoch_drops += 1;
-                    Ok(Some(Served::Fenced))
-                }
-            }
-            Response::Reject { reason } => Err(DistError::Protocol(reason)),
-            other => Err(DistError::Protocol(format!("expected Ack, got {other:?}"))),
         }
-    }
-
-    /// Drops the completion connection, folding its framing counters into
-    /// the report. Nothing may be in flight.
-    fn hang_up(&mut self, report: &mut WorkerReport) {
-        assert!(self.in_flight.is_none(), "a Complete is still in flight");
-        if let Some(channel) = self.idle.take() {
-            channel.retire(report);
-        }
+        Response::Reject { reason } => Err(DistError::Protocol(reason)),
+        other => Err(DistError::Protocol(format!("expected Ack, got {other:?}"))),
     }
 }
 
 /// Serves one attached connection until drained, sabotaged, fenced, or
-/// errored: re-sends what a lost connection left staged, then leases and
-/// runs chunks, each chunk's `Complete` travelling on the completion
-/// connection while the next one runs. Connection loss on either
-/// connection is `Err(DistError::Io)`, which the caller turns into a
-/// re-attach after settling the `Complete` still in flight; the courier's
-/// staged completions cross that boundary. `Done` comes back with nothing
-/// in flight.
+/// errored. Connection loss is `Err(DistError::Io)`, which the caller
+/// turns into a re-attach; `pending` carries any undelivered completion
+/// across that boundary.
 fn serve<'a>(
     ctx: &WorkerContext<'a>,
     channel: &mut Channel,
     worker: u32,
     epoch: u64,
     session: &mut Option<CampaignSession<'a>>,
-    courier: &mut Courier,
+    pending: &mut Option<Request>,
     report: &mut WorkerReport,
 ) -> Result<Served, DistError> {
-    // Re-send completions a lost connection left staged, oldest first,
-    // each settled before the next: same epoch means the coordinator never
-    // died, so each chunk is either unmerged (the re-send lands it) or
-    // merged already (a stale ack).
-    while !courier.staged.is_empty() {
-        let request = courier.staged.remove(0);
-        courier.send(ctx, request);
-        if let Some(served) = courier.settle(epoch, report)? {
+    // Settle a completion left over from a lost connection first: same
+    // epoch means the coordinator never died, so the chunk is either
+    // unmerged (re-send lands it) or already merged (stale ack). Only
+    // then ask for new work.
+    if pending.is_some() {
+        if let Some(served) = deliver(channel, epoch, pending, report)? {
             return Ok(served);
         }
     }
@@ -637,9 +539,7 @@ fn serve<'a>(
                     .is_some_and(|n| report.leases >= n)
                 {
                     // Vanish holding the lease: no heartbeat, no
-                    // completion, no goodbye — once the previous chunk's
-                    // `Complete` has been answered, whatever the answer.
-                    let _ = courier.settle(epoch, report);
+                    // completion, no goodbye.
                     report.abandoned = true;
                     return Ok(Served::Done);
                 }
@@ -703,11 +603,9 @@ fn serve<'a>(
                 drop(stop);
                 guard.join().expect("heartbeat guard panicked");
 
-                // The request is built once and every attempt sends it
-                // by reference, so a connection lost mid-round-trip leaves
-                // it re-sendable unchanged. The previous chunk's
-                // `Complete` is settled before this one goes out.
-                let complete = Request::Complete {
+                // Stage the request *before* the first send attempt, so
+                // a connection lost mid-round-trip can re-send it.
+                *pending = Some(Request::Complete {
                     worker,
                     lease,
                     chunk,
@@ -715,40 +613,15 @@ fn serve<'a>(
                     records,
                     harness,
                     restores,
-                };
-                match courier.settle(epoch, report) {
-                    Ok(None) => courier.send(ctx, complete),
-                    lost_or_fenced => {
-                        // Staged behind the previous one, for the
-                        // re-attach to re-send or drop.
-                        courier.staged.push(complete);
-                        return lost_or_fenced.map(|_| Served::Fenced);
-                    }
+                });
+                if let Some(served) = deliver(channel, epoch, pending, report)? {
+                    return Ok(served);
                 }
             }
             Response::Wait { poll_ms } => {
-                // Nothing to run meanwhile: settle the `Complete` in
-                // flight, so a lost completion connection shows while idle
-                // rather than after the next grant.
-                if let Some(served) = courier.settle(epoch, report)? {
-                    return Ok(served);
-                }
                 std::thread::sleep(Duration::from_millis(poll_ms.min(5_000)));
             }
-            Response::Drained => {
-                return match courier.settle(epoch, report) {
-                    Ok(fenced) => Ok(fenced.unwrap_or(Served::Done)),
-                    Err(err) if connection_lost(&err, report) => {
-                        // Every chunk is complete, so a `Complete` lost
-                        // now was merged already, from here or from
-                        // another worker: spent, like a stale duplicate.
-                        courier.staged.clear();
-                        report.stale_acks += 1;
-                        Ok(Served::Done)
-                    }
-                    Err(fatal) => Err(fatal),
-                };
-            }
+            Response::Drained => return Ok(Served::Done),
             Response::Reject { reason } => return Err(DistError::Protocol(reason)),
             other => {
                 return Err(DistError::Protocol(format!(
@@ -828,7 +701,7 @@ pub fn run_worker(
         opts,
     };
     let mut session: Option<CampaignSession<'_>> = None;
-    let mut courier = Courier::default();
+    let mut pending: Option<Request> = None;
 
     loop {
         let served = serve(
@@ -837,36 +710,27 @@ pub fn run_worker(
             worker,
             epoch,
             &mut session,
-            &mut courier,
+            &mut pending,
             &mut report,
         );
         match served {
             Ok(Served::Done) => {
                 channel.retire(&mut report);
-                courier.hang_up(&mut report);
                 if let Some(chaos) = &opts.chaos {
                     report.chaos = chaos.counts();
                 }
                 return Ok(report);
             }
             Ok(Served::Fenced) => {}
-            // The peer (or the chaos layer) may have sent garbage; the
-            // connection is untrusted. Same recovery as a loss.
-            Err(err) if connection_lost(&err, &mut report) => {}
-            Err(fatal) => {
-                let _ = courier.settle(epoch, &mut report);
-                return Err(fatal);
+            Err(DistError::Io(_)) => {}
+            Err(DistError::Frame(_)) => {
+                // The peer (or the chaos layer) sent garbage; the
+                // connection is untrusted. Same recovery as a loss.
+                report.corrupt_frames += 1;
             }
-        }
-        // Settle the `Complete` in flight before re-attaching: its answer,
-        // or its loss, decides what the new connection re-sends.
-        match courier.settle(epoch, &mut report) {
-            Ok(_) => {}
-            Err(err) if connection_lost(&err, &mut report) => {}
             Err(fatal) => return Err(fatal),
         }
         channel.retire(&mut report);
-        courier.hang_up(&mut report);
         // Re-attach (failed attempts count toward the consecutive-failure
         // budget until a Welcome lands). A different fingerprint means
         // the restarted coordinator is running a different campaign — the
@@ -883,9 +747,10 @@ pub fn run_worker(
         if new_epoch != epoch {
             // The old incarnation is dead; anything staged for it is
             // void. (A completion fenced by an explicit Ack was already
-            // dropped and counted when it was settled.)
-            report.stale_epoch_drops += courier.staged.len() as u32;
-            courier.staged.clear();
+            // dropped and counted in `deliver`.)
+            if pending.take().is_some() {
+                report.stale_epoch_drops += 1;
+            }
         }
         channel = new_channel;
         worker = new_worker;

@@ -594,10 +594,9 @@ fn workers_and_replay_agree_with_the_books() {
 }
 
 /// A loopback proxy in front of `upstream`: it forwards every connection
-/// byte for byte, except the first one whose first frame is a `Complete`
-/// (a worker's completion connection), which it cuts before that frame
-/// reaches the coordinator. Serves until `stop` is set and a connection
-/// wakes it; returns whether it cut one.
+/// frame by frame, except that it cuts the connection carrying the first
+/// `Complete`, before that frame reaches the coordinator. Serves until
+/// `stop` is set and a connection wakes it; returns whether it cut one.
 fn cutting_proxy(listener: TcpListener, upstream: SocketAddr, stop: &AtomicBool) -> bool {
     use certa_dist::protocol::{Request, FRAME_HEADER_BYTES};
 
@@ -619,17 +618,23 @@ fn cutting_proxy(listener: TcpListener, upstream: SocketAddr, stop: &AtomicBool)
             scope.spawn(move || {
                 let (mut client, mut server) = (client, server);
                 let mut header = [0u8; FRAME_HEADER_BYTES];
-                if client.read_exact(&mut header).is_ok() {
+                while client.read_exact(&mut header).is_ok() {
                     let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
                     let mut payload = vec![0u8; len as usize];
-                    client.read_exact(&mut payload).expect("first frame");
+                    if client.read_exact(&mut payload).is_err() {
+                        break;
+                    }
                     let complete =
                         matches!(Request::decode(&payload), Ok(Request::Complete { .. }));
-                    // Forward everything but the first `Complete`'s connection.
-                    if !complete || cut.swap(true, Ordering::SeqCst) {
-                        let _ = server.write_all(&header);
-                        let _ = server.write_all(&payload);
-                        let _ = std::io::copy(&mut client, &mut server);
+                    if complete && !cut.swap(true, Ordering::SeqCst) {
+                        break;
+                    }
+                    if server
+                        .write_all(&header)
+                        .and_then(|()| server.write_all(&payload))
+                        .is_err()
+                    {
+                        break;
                     }
                 }
                 let _ = client.shutdown(Shutdown::Both);
@@ -640,13 +645,13 @@ fn cutting_proxy(listener: TcpListener, upstream: SocketAddr, stop: &AtomicBool)
     cut.into_inner()
 }
 
-/// A lost completion connection is a connection loss like any other: the
-/// worker re-attaches and re-sends the `Complete` that was in flight. The
-/// proxy cuts the worker's first completion connection before its first
-/// `Complete` reaches the coordinator, so only the re-send can complete
-/// that chunk short of its 5-s lease expiring.
+/// A connection lost with a `Complete` in flight: the worker re-attaches
+/// and re-sends the staged `Complete`. The proxy cuts the worker's
+/// connection before its first `Complete` reaches the coordinator, so
+/// only the re-send can complete that chunk short of its 5-s lease
+/// expiring.
 #[test]
-fn lost_completion_connection_resends_the_complete_in_flight() {
+fn lost_connection_resends_the_complete_in_flight() {
     let trials = 48;
     let target = SumTarget::new();
     let tags = analyze(target.program());
@@ -666,7 +671,7 @@ fn lost_completion_connection_resends_the_complete_in_flight() {
     // No heartbeat connection gets between the proxy and the cut.
     let opts = WorkerOptions {
         heartbeat_interval: Duration::from_secs(60),
-        ..fast_worker("courier", 51)
+        ..fast_worker("resender", 51)
     };
     let stop = AtomicBool::new(false);
     let (result, report, cut) = std::thread::scope(|scope| {
@@ -681,9 +686,15 @@ fn lost_completion_connection_resends_the_complete_in_flight() {
         (result, report, proxy.join().unwrap())
     });
 
-    assert!(cut, "the proxy cut a completion connection with a Complete in flight");
-    assert_eq!(result.campaign.trials, inline.trials, "per-trial records differ");
-    assert!(report.reconnects >= 1, "the lost connection was re-attached");
+    assert!(cut, "the proxy cut a connection with a Complete in flight");
+    assert_eq!(
+        result.campaign.trials, inline.trials,
+        "per-trial records differ"
+    );
+    assert!(
+        report.reconnects >= 1,
+        "the lost connection was re-attached"
+    );
     assert_eq!(
         result.redeliveries, 0,
         "the cut chunk was completed by the re-send, not by its lease expiring"
@@ -762,17 +773,14 @@ fn in_flight_complete_fenced_by_another_epochs_ack_is_dropped_and_counted() {
             },
             other => panic!("expected Lease, got {other:?}"),
         });
-        // The chunk's `Complete` comes on the completion connection; the
-        // coordinator "restarted" under epoch 2 in the meantime.
-        let mut completion = accept();
-        exchange(&mut completion, &|request| match request {
+        // The coordinator "restarted" under epoch 2 while the chunk ran.
+        exchange(&mut main, &|request| match request {
             Request::Complete { epoch: 1, .. } => Response::Ack {
                 accepted: false,
                 epoch: 2,
             },
             other => panic!("expected an epoch-1 Complete, got {other:?}"),
         });
-        exchange(&mut main, &drained);
         // Fenced, the worker re-attaches and hears the campaign is over.
         let mut main = accept();
         exchange(&mut main, &welcome(2));
@@ -781,7 +789,10 @@ fn in_flight_complete_fenced_by_another_epochs_ack_is_dropped_and_counted() {
     });
 
     assert_eq!(report.leases, 1);
-    assert_eq!(report.stale_epoch_drops, 1, "the fenced Complete is counted");
+    assert_eq!(
+        report.stale_epoch_drops, 1,
+        "the fenced Complete is counted"
+    );
     assert_eq!(report.chunks_completed, 0);
     assert_eq!(report.stale_acks, 0);
     assert_eq!(report.reconnects, 1, "the fence made the worker re-attach");

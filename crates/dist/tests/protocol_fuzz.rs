@@ -11,8 +11,8 @@
 //! 3. Any single-bit flip anywhere in a framed message — length prefix,
 //!    sequence number, checksum, payload — is rejected by
 //!    [`FrameCodec::read_frame`].
-//! 4. Forged length prefixes and element counts produce bounded
-//!    allocations and typed errors, not OOM.
+//! 4. Forged length prefixes, element counts and back-references
+//!    produce bounded allocations and typed errors, not OOM.
 //!
 //! Beside them: a `Complete` body that writes a repeated output as a
 //! back-reference round-trips exactly, and a forged back-reference is a
@@ -20,7 +20,7 @@
 
 use std::io::Cursor;
 
-use certa_dist::protocol::{Request, Response, JobSpec, MAX_FRAME_BYTES, PROTOCOL_VERSION};
+use certa_dist::protocol::{JobSpec, Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION};
 use certa_dist::{FrameCodec, FrameError};
 use certa_fault::wire::{
     encode_harness_stats, encode_restore_stats, encode_trial_record, ByteWriter,
@@ -334,10 +334,22 @@ fn forged_back_references_are_typed_errors() {
         ("to itself", forged_complete(&with_output, 1, None)),
         ("to a later entry", forged_complete(&with_output, 2, None)),
         ("past the count", forged_complete(&with_output, 3, None)),
-        ("far out of range", forged_complete(&with_output, u32::MAX, None)),
-        ("to a record without output", forged_complete(&crashed, 0, None)),
-        ("to a harness error", forged_complete(&harness_error, 0, None)),
-        ("with an output of its own", forged_complete(&with_output, 0, Some(vec![4]))),
+        (
+            "far out of range",
+            forged_complete(&with_output, u32::MAX, None),
+        ),
+        (
+            "to a record without output",
+            forged_complete(&crashed, 0, None),
+        ),
+        (
+            "to a harness error",
+            forged_complete(&harness_error, 0, None),
+        ),
+        (
+            "with an output of its own",
+            forged_complete(&with_output, 0, Some(vec![4])),
+        ),
     ];
     for (what, payload) in forged {
         assert!(
@@ -345,6 +357,55 @@ fn forged_back_references_are_typed_errors() {
             "a back-reference {what} decoded"
         );
     }
+}
+
+/// A `Complete` payload of one halted record with an `output_len`-byte
+/// output and `copies` back-references to it: a small frame that would
+/// decode to `(copies + 1) * output_len` bytes of outputs.
+fn amplifying_complete(output_len: usize, copies: u32) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u8(3); // Complete
+    w.u32(1); // worker
+    w.u64(2); // lease
+    w.u32(3); // chunk
+    w.u64(4); // epoch
+    w.u32(copies + 1); // entries
+    w.u32(0);
+    w.u8(0);
+    encode_trial_record(&mut w, &halted(Some(vec![7; output_len]), 1));
+    for trial in 1..=copies {
+        w.u32(trial);
+        w.u8(1);
+        w.u32(0);
+        encode_trial_record(&mut w, &halted(None, 1));
+    }
+    encode_harness_stats(&mut w, &HarnessStats::default());
+    encode_restore_stats(&mut w, &RestoreStats::default());
+    w.finish()
+}
+
+/// Claim 4, for back-references: they cannot amplify a frame. The
+/// outputs a body decodes to total at most [`MAX_FRAME_BYTES`], as every
+/// body written out in full had to; one byte more is a typed error,
+/// decided before the copy that would pass the bound is made.
+#[test]
+fn back_references_cannot_amplify_past_a_frame() {
+    let output_len = MAX_FRAME_BYTES as usize / 16;
+    let at_bound = amplifying_complete(output_len, 15);
+    assert!(at_bound.len() < output_len + 1024, "a small frame");
+    match Request::decode(&at_bound) {
+        Ok(Request::Complete { records, .. }) => assert_eq!(records.len(), 16),
+        other => panic!("a body at the bound must decode, got {other:?}"),
+    }
+    drop(at_bound);
+    assert!(
+        Request::decode(&amplifying_complete(output_len, 16)).is_err(),
+        "a body past the bound decoded"
+    );
+    assert!(
+        Request::decode(&amplifying_complete(1 << 19, 18_000)).is_err(),
+        "a 1 MiB frame decoded to gigabytes"
+    );
 }
 
 proptest! {
